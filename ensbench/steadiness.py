@@ -1,12 +1,13 @@
 """Run-to-run steadiness of the end-to-end metrics.
 
-    python3 ensbench/steadiness.py [--runs 10] [--first-seed 1] [--workload NAME ...]
+    python3 ensbench/steadiness.py [--first-seed 1]
 
-Runs ``run.py --trace 0`` once per seed, one process after another, for each
-workload in BENCHMARK.json, with that file's ``run_seconds``.  For every
-end-to-end metric it prints the median, the quartiles (Python's
-``statistics.quantiles(values, n=4)``) and the spread (q3 - q1) / median
-next to the metric's bound, and writes everything to ensbench/out/.
+Runs ``run.py --trace 0`` ten times, once per seed from ``--first-seed`` on,
+one process after another, for every workload in BENCHMARK.json, with that
+file's ``run_seconds``.  For every end-to-end metric it prints the median,
+the quartiles (Python's ``statistics.quantiles(values, n=4)``) and the
+spread (q3 - q1) / median next to the metric's bound, and writes everything
+to ensbench/out/.
 """
 
 from __future__ import annotations
@@ -20,20 +21,18 @@ from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
+RUNS = 10
 
 
 def main() -> int:
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    p.add_argument("--runs", type=int, default=10)
     p.add_argument("--first-seed", type=int, default=1)
-    p.add_argument("--workload", action="append", choices=[w["name"] for w in bench["workloads"]])
     args = p.parse_args()
-    workloads = args.workload or [w["name"] for w in bench["workloads"]]
-    seeds = range(args.first_seed, args.first_seed + args.runs)
+    seeds = range(args.first_seed, args.first_seed + RUNS)
 
     table = {}
-    for name in workloads:
+    for name in (w["name"] for w in bench["workloads"]):
         runs = []
         for seed in seeds:
             cmd = [*bench["command"], "--workload", name, "--seed", str(seed),
