@@ -9,10 +9,12 @@ the path ``kremoval sweep`` takes, then checks every trial's output with
 ``checks.py`` outside the timed region.  The number of trials per size
 follows from the workload and ``--seconds`` only, never from the clock.
 
-With ``--trace 0`` it prints the end-to-end metrics; with ``--trace 1`` it
-runs the same ensemble untraced and then traced, requires the two reports
-to be byte-identical, and prints the per-layer metrics.  The last line of
-standard output is one JSON object:
+Times are taken with ``SpeedClock``, which scales wall time to a reference
+machine speed sampled while the benchmark runs, so that other tenants of a
+shared machine move them less.  With ``--trace 0`` it prints the end-to-end
+metrics; with ``--trace 1`` it runs the same ensemble untraced and then
+traced, requires the two reports to be byte-identical, and prints the
+per-layer metrics.  The last line of standard output is one JSON object:
 ``{"correct", "attempted", "failed", "metrics": {name: {"value", "unit"}}}``.
 """
 
@@ -30,6 +32,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import argparse
 import json
 import resource
+import signal
 import time
 import tracemalloc
 from dataclasses import dataclass
@@ -65,9 +68,9 @@ class Workload:
         return max(1, round(seconds / self.round_s))
 
 
-# round_s is the median ensemble_s per round over ten 30 s runs on the
-# reference machine in README.md; it only sets how many trials a run of a
-# given length attempts.
+# round_s is the median unscaled wall time per round over ten 30 s runs on
+# the reference machine in README.md, taken before SpeedClock; it only sets
+# how many trials a run of a given length attempts.
 WORKLOADS = {
     "k4_hitting": Workload(k=4, ns=(60, 90, 120, 160), round_s=13.6),
     "k3_hitting": Workload(k=3, ns=(100, 200, 400, 800), round_s=9.7),
@@ -118,23 +121,107 @@ def bytes_per_clique() -> float:
     return used / len(idx)
 
 
-def run_once(grid, trials, seed, params, tracer=None):
-    """One ensemble; returns (report text, seconds, observed trials)."""
+# Every PROBE_EVERY_S seconds of wall time the clock times probe(); a probe
+# takes PROBE_REF_S on the reference machine in README.md when no other
+# tenant slows it.  Scaled times are seconds of a machine that runs probe()
+# in PROBE_REF_S.
+PROBE_EVERY_S = 0.05
+PROBE_REF_S = 0.0003
+_PROBE_ROWS = tuple(((1 << 160) - 1) ^ (1 << i) ^ ((i * 0x9E3779B97F4A7C15) << 40)
+                    for i in range(160))
+_PROBE_HEAP = bytes(range(256)) * (1 << 15)     # 8 MiB, more than a core's share of cache
+_PROBE_READS = 1000
+# Odd, so that the reads cycle through the whole heap, and near 0.618 of
+# its size, so that reads close in time land far apart.
+_PROBE_STEP = 5_184_463
+
+
+def probe(start: int) -> int:
+    """A fixed small piece of pure-Python work of the kinds kremoval does:
+    bitwise AND, bit_count and bit_length on 160-bit rows, and reads spread
+    over an 8 MiB heap, most of which miss the cache.  The reads go on from
+    heap position ``start``.  It makes no container objects, so it never
+    sets off the garbage collector."""
+    rows, heap = _PROBE_ROWS, _PROBE_HEAP
+    mask = len(heap) - 1
+    total = 0
+    for i in range(0, 160, 3):
+        row = rows[i]
+        for j in range(0, 160, 8):
+            common = row & rows[j]
+            total += common.bit_count() + (common & -common).bit_length()
+    at = start
+    for _ in range(_PROBE_READS):
+        at = (at + _PROBE_STEP) & mask
+        total += heap[at]
+    return total
+
+
+class SpeedClock:
+    """Seconds since the process started, scaled to the reference speed.
+
+    This machine is shared, and its speed drifts by up to 1.8x within seconds
+    (README.md), so a wall time mostly measures the other tenants.  From
+    construction until stop(), a timer interrupts the program every
+    PROBE_EVERY_S seconds and times probe().  Each stretch of wall time since
+    the previous probe counts PROBE_REF_S / (probe time) times; the stretch
+    from the process's start to the first probe is scaled by the first probe.
+    The probes' own time counts in neither total.
+    """
+
+    def __init__(self) -> None:
+        # (scaled seconds, wall seconds, perf_counter at the last probe's end,
+        # scale factor of the last probe): replaced whole, so that now() never
+        # sees half of an update made by the signal handler.
+        self._state = (0.0, 0.0, time.perf_counter() - process_age_s(), 1.0)
+        self._busy = False
+        self._probes = 0
+        self._sample()
+        signal.signal(signal.SIGALRM, self._sample)
+        signal.setitimer(signal.ITIMER_REAL, PROBE_EVERY_S, PROBE_EVERY_S)
+
+    def _sample(self, *_) -> None:
+        if self._busy:      # a probe stalled past the next alarm
+            return
+        self._busy = True
+        scaled, wall, last, _ = self._state
+        self._probes += 1
+        t0 = time.perf_counter()
+        probe(self._probes * _PROBE_READS * _PROBE_STEP & (len(_PROBE_HEAP) - 1))
+        t1 = time.perf_counter()
+        factor = PROBE_REF_S / (t1 - t0)
+        self._state = (scaled + (t0 - last) * factor, wall + (t0 - last), time.perf_counter(), factor)
+        self._busy = False
+
+    def now(self) -> tuple[float, float]:
+        """(scaled seconds, wall seconds) since the process started, probes left out."""
+        scaled, wall, last, factor = self._state
+        elapsed = time.perf_counter() - last
+        return scaled + elapsed * factor, wall + elapsed
+
+    def stop(self) -> None:
+        signal.setitimer(signal.ITIMER_REAL, 0, 0)
+        signal.signal(signal.SIGALRM, signal.SIG_DFL)
+
+
+def run_once(grid, trials, seed, params, clock: SpeedClock, tracer=None):
+    """One ensemble; returns (report text, scaled seconds, wall seconds, observed trials)."""
     from kremoval.ensemble import report_to_json, run_ensemble
     from tracing import Observer, patched
 
     observer = Observer()
     with patched(observer.targets()):
         if tracer is None:
-            t0 = time.perf_counter()
+            scaled0, wall0 = clock.now()
             text = report_to_json(run_ensemble(grid, trials, seed, params=params, jobs=1))
-            return text, time.perf_counter() - t0, observer.trials
-        with patched(tracer.layer_targets()):
-            t0 = time.perf_counter()
-            report = tracer.wrap("ensemble.run_ensemble", run_ensemble)(
-                grid, trials, seed, params=params, jobs=1)
-            text = tracer.wrap("ensemble.report_to_json", report_to_json)(report)
-            return text, time.perf_counter() - t0, observer.trials
+        else:
+            with patched(tracer.layer_targets()):
+                scaled0, wall0 = clock.now()
+                report = tracer.wrap("ensemble.run_ensemble", run_ensemble)(
+                    grid, trials, seed, params=params, jobs=1)
+                text = tracer.wrap("ensemble.report_to_json", report_to_json)(report)
+        scaled1, wall1 = clock.now()
+    return text, scaled1 - scaled0, wall1 - wall0, observer.trials
 
 
 def check(wl: Workload, text: str, observed, trials: int) -> tuple[dict, int, list[str]]:
@@ -195,31 +282,36 @@ def layer_metrics(tracer, report: dict, untraced_s: float, traced_s: float) -> d
 def main(argv: list[str] | None = None) -> int:
     args = parse_args(argv)
     wl = WORKLOADS[args.workload]
-    import_kremoval()
-    sys.path.insert(0, str(HERE))
-    from kremoval.engine import RunConfig
-    from kremoval.trajectory import TrajectoryParams
+    clock = SpeedClock()
+    try:
+        import_kremoval()
+        sys.path.insert(0, str(HERE))
+        from kremoval.engine import RunConfig
+        from kremoval.trajectory import TrajectoryParams
 
-    trials = wl.trials(args.seconds)
-    grid = [RunConfig(n=n, k=wl.k, seed=0, stop=wl.stop, p_floor=wl.p_floor) for n in wl.ns]
-    for cfg in grid:
-        cfg.validate()
-    # as `kremoval sweep --envelopes`: params for the first size of the grid
-    params = TrajectoryParams(k=wl.k, n=wl.ns[0], p_floor=wl.p_floor) if wl.envelopes else None
-    setup_s = process_age_s()
+        trials = wl.trials(args.seconds)
+        grid = [RunConfig(n=n, k=wl.k, seed=0, stop=wl.stop, p_floor=wl.p_floor) for n in wl.ns]
+        for cfg in grid:
+            cfg.validate()
+        # as `kremoval sweep --envelopes`: params for the first size of the grid
+        params = TrajectoryParams(k=wl.k, n=wl.ns[0], p_floor=wl.p_floor) if wl.envelopes else None
+        setup_s, setup_wall_s = clock.now()
 
-    text, ensemble_s, observed = run_once(grid, trials, args.seed, params)
-    peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-    report, failed, problems = check(wl, text, observed, trials)
+        text, ensemble_s, ensemble_wall_s, observed = run_once(grid, trials, args.seed, params, clock)
+        peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+        report, failed, problems = check(wl, text, observed, trials)
+        if args.trace:
+            from tracing import Tracer
+            tracer = Tracer()
+            traced_text, traced_s, _, _ = run_once(grid, trials, args.seed, params, clock, tracer)
+            if traced_text != text:
+                problems.append("traced report_to_json bytes differ from the untraced run")
+    finally:
+        clock.stop()
     attempted = trials * len(wl.ns)
     steps = sum(s["steps"] for cfg in report["configs"] for s in cfg["trial_summaries"])
 
     if args.trace:
-        from tracing import Tracer
-        tracer = Tracer()
-        traced_text, traced_s, _ = run_once(grid, trials, args.seed, params, tracer)
-        if traced_text != text:
-            problems.append("traced report_to_json bytes differ from the untraced run")
         metrics = layer_metrics(tracer, report, ensemble_s, traced_s)
         OUT.mkdir(exist_ok=True)
         spans = {name: {"calls": tracer.calls[name], "total_s": tracer.total[name],
@@ -235,6 +327,9 @@ def main(argv: list[str] | None = None) -> int:
     print(f"workload {args.workload}: k={wl.k}, n={list(wl.ns)}, stop={wl.stop}, "
           f"{trials} trials per n, master seed {args.seed}")
     print(f"attempted {attempted} trials, failed {failed}, {steps} removal steps")
+    print(f"unscaled wall time: set-up {setup_wall_s:.4g} s, ensemble {ensemble_wall_s:.4g} s")
+    if args.trace:
+        print(f"scaled ensemble time: untraced {ensemble_s:.4g} s, traced {traced_s:.4g} s")
     for p in problems:
         print(f"CHECK FAILED: {p}")
     for name, m in metrics.items():
