@@ -6,8 +6,8 @@ same observable semantics (exact Q_k at every step, uniform sampling, exact
 per-step drops):
 
 * ``indexed``: the materialized ``CliqueIndex`` with O(1) uniform draws and
-  edge-keyed invalidation.  Memory is O(Q_k * k), so it is only viable while
-  the clique count is modest.
+  edge-keyed invalidation.  Memory is ``index.bytes_per_clique(k)`` per
+  clique, so it is only viable while the clique count is modest.
 * ``sampling``: used while Q_k is too large to materialize (Q_k(0) = C(n, k)
   reaches 3.3e8 already at n = 300, k = 4).  A uniform clique is drawn by
   rejection over uniform k-subsets, and Q_k is advanced exactly through the
@@ -42,7 +42,7 @@ from .graph import (
     count_k_cliques,
     enumerate_k_cliques,
 )
-from .index import CliqueIndex
+from .index import CliqueIndex, bytes_per_clique
 
 FULL_EXTREMES_MAX_N = 60
 
@@ -89,11 +89,11 @@ class RunConfig:
             )
         if self.materialize_at < 0:
             raise ValueError("materialize_at must be nonnegative")
+        self.resolved_panel_sizes()
         check_count_guard(self.n, self.k)
         est_q0 = comb(self.n, self.k) * self.p_start ** comb(self.k, 2)
         peak = min(est_q0, float(self.materialize_at))
-        # nominal 4 bytes per stored vertex; the index holds Q_k cliques of k vertices
-        if peak * self.k * 4 > self.memory_budget_bytes:
+        if peak * bytes_per_clique(self.k) > self.memory_budget_bytes:
             raise ValueError(
                 f"estimated peak of {peak:.3g} materialized cliques exceeds the "
                 f"{self.memory_budget_bytes / 2**30:.1f} GiB memory budget; "
@@ -207,8 +207,58 @@ class ProcessTrace:
 
 
 def panel_r_values(g: Graph, panel: Iterable[VertexSet], k: int) -> list[int]:
-    """Exact extension counts for each panel set, recomputed from scratch."""
-    return [g.count_r(s, k) for s in panel]
+    """Exact extension counts R for a panel of m-sets of one size m, in panel order.
+
+    The whole panel is evaluated at once from the current adjacency:
+
+    * m = k-1: R is the size of the common neighbourhood, the popcount of the
+      AND of the sets' rows (rows are irreflexive, so it excludes the set).
+    * m = k-2: R is the number of edges inside the common neighbourhood.  With
+      A the 0/1 adjacency matrix and M the stacked products of the rows A[v]
+      over each set's vertices, R = rowsum((M @ A) * M) / 2, one matmul.
+    * otherwise (k >= 5, m <= k-3): ``Graph.count_r`` per set.
+
+    Every set must be strictly increasing with vertices in [0, n), and all
+    sets must share one size m in [2, k-1]; ``ValueError`` otherwise.
+    """
+    sets = list(panel)
+    if not sets:
+        return []
+    try:
+        arr = np.array(sets, dtype=np.int64)
+    except (TypeError, ValueError) as exc:
+        raise ValueError("panel sets must be integer tuples of one size m") from exc
+    if arr.ndim != 2 or not 2 <= arr.shape[1] <= k - 1:
+        raise ValueError(f"panel sets must share one size m in [2, k-1={k - 1}]")
+    if np.any(arr[:, 1:] <= arr[:, :-1]):
+        raise ValueError("panel sets must be strictly increasing")
+    if arr[:, 0].min() < 0 or arr[:, -1].max() >= g.n:
+        raise ValueError(f"panel vertex out of range [0, {g.n})")
+    m = arr.shape[1]
+    rows = g.rows
+    if m == k - 1:
+        out = []
+        for s in arr.tolist():
+            nb = rows[s[0]]
+            for v in s[1:]:
+                nb &= rows[v]
+            out.append(nb.bit_count())
+        return out
+    if m == k - 2:
+        n = g.n
+        width = (n + 7) // 8
+        packed = np.frombuffer(b"".join(r.to_bytes(width, "little") for r in rows), dtype=np.uint8)
+        adj = np.unpackbits(packed.reshape(n, width), axis=1, count=n, bitorder="little")
+        common = adj[arr[:, 0]]
+        for j in range(1, m):
+            common &= adj[arr[:, j]]
+        # float64 keeps this exact: every product and partial sum is an
+        # integer of at most n^2 < 2^53.
+        a = adj.astype(np.float64)
+        c = common.astype(np.float64)
+        twice = ((c @ a) * c).sum(axis=1)
+        return (twice.astype(np.int64) // 2).tolist()
+    return [g.count_r(s, k) for s in arr.tolist()]
 
 
 def hitting_time(trace: ProcessTrace) -> int | None:
@@ -377,7 +427,7 @@ def run(cfg: RunConfig) -> ProcessTrace:
         if cfg.record_full_extremes:
             extremes = {}
             for m in range(2, k):
-                vals = [g.count_r(s, k) for s in combinations(range(n), m)]
+                vals = panel_r_values(g, list(combinations(range(n), m)), k)
                 extremes[m] = (min(vals), max(vals))
         checkpoints.append(Checkpoint(i=i, p=current_p(i), edge_count=g.edge_count,
                                       q_k=q, panel_r=panel_r, exact_r_extremes=extremes))

@@ -27,9 +27,11 @@ def trial_seed(master_seed: int, config_index: int, trial_index: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def _run_trial(args: tuple[RunConfig, int]) -> ProcessTrace:
-    cfg, seed = args
-    return run(replace(cfg, seed=seed))
+def _run_trial(args: tuple[RunConfig, int, bool]) -> ProcessTrace | dict:
+    """One trial: its whole trace if ``keep`` is set, else only its summary."""
+    cfg, seed, keep = args
+    trace = run(replace(cfg, seed=seed))
+    return trace if keep else trace.summary()
 
 
 @dataclass(frozen=True)
@@ -220,22 +222,26 @@ def run_ensemble(grid: list[RunConfig], trials: int, master_seed: int,
     for cfg in grid:
         cfg.validate()
 
-    tasks = [(gi, ti, grid[gi], trial_seed(master_seed, gi, ti))
+    def scored(cfg: RunConfig) -> bool:
+        return params is not None and cfg.k == params.k and cfg.n == params.n
+
+    # Whole traces are kept only where they are used; other trials keep their
+    # summary, so memory does not grow with trials x configs.
+    tasks = [(gi, ti, (grid[gi], trial_seed(master_seed, gi, ti), keep_traces or scored(grid[gi])))
              for gi in range(len(grid)) for ti in range(trials)]
-    results: dict[tuple[int, int], ProcessTrace | Exception] = {}
+    results: dict[tuple[int, int], ProcessTrace | dict | Exception] = {}
     if jobs > 1 and tasks:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = {(gi, ti): pool.submit(_run_trial, (cfg, seed))
-                       for gi, ti, cfg, seed in tasks}
+            futures = {(gi, ti): pool.submit(_run_trial, args) for gi, ti, args in tasks}
         for key, fut in futures.items():
             try:
                 results[key] = fut.result()
             except Exception as exc:  # recorded, not fatal
                 results[key] = exc
     else:
-        for gi, ti, cfg, seed in tasks:
+        for gi, ti, args in tasks:
             try:
-                results[(gi, ti)] = _run_trial((cfg, seed))
+                results[(gi, ti)] = _run_trial(args)
             except Exception as exc:
                 results[(gi, ti)] = exc
 
@@ -250,12 +256,16 @@ def run_ensemble(grid: list[RunConfig], trials: int, master_seed: int,
         for ti in range(trials):
             res = results.get((gi, ti))
             if isinstance(res, Exception):
-                errors.append({"trial": ti, "error": str(res)})
-            elif res is not None:
+                errors.append({"trial": ti, "seed": trial_seed(master_seed, gi, ti),
+                               "type": type(res).__name__, "error": str(res)})
+            elif isinstance(res, ProcessTrace):
                 s = res.summary()
                 s["trial"] = ti
                 summaries.append(s)
                 traces.append(res)
+            elif res is not None:
+                res["trial"] = ti
+                summaries.append(res)
         entry: dict = {
             "n": cfg.n, "k": cfg.k, "stop": cfg.stop,
             "p_floor": cfg.p_floor, "p_start": cfg.p_start,
@@ -282,7 +292,7 @@ def run_ensemble(grid: list[RunConfig], trials: int, master_seed: int,
             final_edges_by_n.setdefault(cfg.n, []).extend(
                 float(s["final_edges"]) for s in completed)
 
-        if params is not None and cfg.k == params.k and cfg.n == params.n and traces:
+        if scored(cfg) and traces:
             score = concentration_score(traces, params)
             score.pop("per_checkpoint", None)
             entry["concentration"] = score

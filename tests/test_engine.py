@@ -1,8 +1,10 @@
 """Process engine: runs, traces, determinism, stop rules, both strategies."""
 
 import math
+from itertools import combinations
 from math import comb
 
+import numpy as np
 import pytest
 
 from kremoval.engine import (
@@ -71,6 +73,10 @@ class TestStopRules:
             RunConfig(n=100, k=4, seed=0, record_full_extremes=True).validate()
         with pytest.raises(ValueError):
             RunConfig(n=20000, k=8, seed=0).validate()
+        with pytest.raises(ValueError, match="panel_sizes"):
+            RunConfig(n=12, k=4, seed=0, panel_sizes={5: 3}).validate()
+        with pytest.raises(ValueError, match="memory budget"):
+            RunConfig(n=30, k=4, seed=0, memory_budget_bytes=27405 * 16).validate()
 
 
 class TestTraceInvariants:
@@ -180,6 +186,36 @@ class TestPanelAndExports:
         assert panel_r_values(g, [(0, 1, 2)], 4) == [3]
         g.remove_clique_edges((0, 1, 2, 3))
         assert panel_r_values(g, [(0, 1)], 4) == [1]
+        assert panel_r_values(g, [], 4) == []
+
+    @pytest.mark.parametrize("k", [3, 4, 5])
+    def test_panel_r_values_match_count_r(self, k):
+        # every m-set of seeded random graphs over a range of densities: the
+        # popcount path (m = k-1), the matmul path (m = k-2) and the count_r
+        # fallback (k = 5, m = 2)
+        n = 13
+        rng = np.random.Generator(np.random.PCG64(k))
+        for density in (0.3, 0.6, 0.9):
+            g = Graph.empty(n)
+            for a, b in combinations(range(n), 2):
+                if rng.random() < density:
+                    g.add_edge(a, b)
+            for m in range(2, k):
+                sets = list(combinations(range(n), m))
+                assert panel_r_values(g, sets, k) == [g.count_r(s, k) for s in sets]
+
+    @pytest.mark.parametrize("sets", [
+        [(0, 1), (0, 1, 2)],    # mixed sizes
+        [(1, 0)],               # not increasing
+        [(2, 2)],               # repeated vertex
+        [(0, 6)],               # vertex out of range
+        [(-1, 2)],
+        [(0,)],                 # m < 2
+        [(0, 1, 2, 3)],         # m > k-1
+    ])
+    def test_panel_r_values_rejects(self, sets):
+        with pytest.raises(ValueError):
+            panel_r_values(Graph.new_complete(6), sets, 4)
 
     def test_panel_sizes_dict_and_without_replacement(self):
         cfg = RunConfig(n=10, k=4, seed=1, panel_sizes={2: 5, 3: 7})

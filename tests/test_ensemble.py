@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from kremoval import ensemble
 from kremoval.engine import RunConfig, run
 from kremoval.ensemble import (
     concentration_score,
@@ -130,11 +131,25 @@ class TestEnsembleScoring:
         report = run_ensemble([RunConfig(n=12, k=3, seed=0)], trials=2, master_seed=4)
         assert "skipped" in report["configs"][0]["concentration"]
 
-    def test_per_trial_errors_recorded_not_fatal(self):
-        # k=5 at n=5 terminates in one step; a bogus config cannot be built
-        # directly (validate raises), so check the error channel via a config
-        # that fails only at run time: use p_start with a seed making Q_k = 0
-        # impossible to misbuild; instead, validate() failures must raise.
+    def test_invalid_config_raises_up_front(self):
         bad = RunConfig(n=6, k=4, seed=0, stop="p_floor", p_floor=2.0)
         with pytest.raises(ValueError):
             run_ensemble([bad], trials=1, master_seed=0)
+        with pytest.raises(ValueError, match="panel_sizes"):
+            run_ensemble([RunConfig(n=12, k=4, seed=0, panel_sizes={5: 3})], trials=1, master_seed=0)
+
+    def test_per_trial_errors_recorded_not_fatal(self, monkeypatch):
+        failing = trial_seed(9, 0, 1)
+
+        def run_or_fail(cfg):
+            if cfg.seed == failing:
+                raise ZeroDivisionError("planted failure")
+            return run(cfg)
+
+        monkeypatch.setattr(ensemble, "run", run_or_fail)
+        report = run_ensemble([RunConfig(n=8, k=3, seed=0)], trials=3, master_seed=9)
+        cfg = report["configs"][0]
+        assert cfg["errors"] == [{"trial": 1, "seed": failing,
+                                  "type": "ZeroDivisionError", "error": "planted failure"}]
+        assert [s["trial"] for s in cfg["trial_summaries"]] == [0, 2]
+        json.loads(report_to_json(report))

@@ -1,10 +1,13 @@
 """Clique index: build, uniform sampling, removal deltas, rebuild equality."""
 
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from kremoval.graph import Graph, enumerate_k_cliques
-from kremoval.index import CliqueIndex, ProcessTerminated
+from kremoval.index import CliqueIndex, ProcessTerminated, bytes_per_clique
 
 
 def rng(seed=0):
@@ -26,6 +29,20 @@ class TestBuild:
     def test_guard_propagates(self):
         with pytest.raises(ValueError):
             CliqueIndex.build(Graph.new_complete(3), 8)
+
+    @pytest.mark.parametrize("k, n", [(3, 40), (3, 60), (4, 20), (4, 26), (4, 34), (5, 14), (5, 24)])
+    def test_memory_within_estimate(self, k, n):
+        # peak traced bytes of a build on K_n, against the engine's memory guard
+        g = Graph.new_complete(n)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            idx = CliqueIndex.build(g, k)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - base <= len(idx) * bytes_per_clique(k)
 
 
 class TestSampling:
