@@ -7,7 +7,7 @@ identities behind the bookkeeping against brute force, and compares empirical
 trajectories against the predicted curves and error envelopes.
 """
 
-from .engine import ProcessTrace, RunConfig, hitting_time, panel_r_values, run
+from .engine import ProcessTrace, RunConfig, panel_r_values, run
 from .ensemble import concentration_score, exponent_fit, run_ensemble
 from .graph import Graph, VertexSet, count_k_cliques, enumerate_k_cliques
 from .index import CliqueIndex, ProcessTerminated, RemovalDelta
@@ -57,7 +57,6 @@ __all__ = [
     "envelopes",
     "exponent_fit",
     "final_size_bound",
-    "hitting_time",
     "i0_p0",
     "p_of",
     "panel_r_values",

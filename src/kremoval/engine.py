@@ -93,9 +93,12 @@ class RunConfig:
         check_count_guard(self.n, self.k)
         est_q0 = comb(self.n, self.k) * self.p_start ** comb(self.k, 2)
         peak = min(est_q0, float(self.materialize_at))
-        if peak * bytes_per_clique(self.k) > self.memory_budget_bytes:
+        # k >= 4 runs keep adjacency_matrix(g) for the whole run
+        adj_bytes = 4 * self.n * self.n if self.k >= 4 else 0
+        if peak * bytes_per_clique(self.k) + adj_bytes > self.memory_budget_bytes:
             raise ValueError(
-                f"estimated peak of {peak:.3g} materialized cliques exceeds the "
+                f"estimated peak of {peak:.3g} materialized cliques plus a "
+                f"{adj_bytes} B adjacency matrix exceeds the "
                 f"{self.memory_budget_bytes / 2**30:.1f} GiB memory budget; "
                 "lower materialize_at or raise memory_budget_bytes"
             )
@@ -109,8 +112,12 @@ class RunConfig:
             sizes = {int(m): int(c) for m, c in self.panel_sizes.items()}
             if set(sizes) != set(ms):
                 raise ValueError(f"panel_sizes keys must be 2..{self.k - 1}")
-            return sizes
-        return {m: int(self.panel_sizes) for m in ms}
+        else:
+            sizes = {m: int(self.panel_sizes) for m in ms}
+        for m, count in sizes.items():
+            if count < 0:
+                raise ValueError(f"panel_sizes for m={m} must be >= 0, got {count}")
+        return sizes
 
 
 @dataclass(frozen=True)
@@ -206,17 +213,54 @@ class ProcessTrace:
         return json.dumps(self.summary(), sort_keys=True, indent=2)
 
 
-def panel_r_values(g: Graph, panel: Iterable[VertexSet], k: int) -> list[int]:
-    """Exact extension counts R for a panel of m-sets of one size m, in panel order.
+def adjacency_matrix(g: Graph) -> np.ndarray:
+    """The graph's 0/1 adjacency as an (n, n) float32 matrix (4 n^2 bytes)."""
+    n = g.n
+    width = (n + 7) // 8
+    packed = np.frombuffer(b"".join(r.to_bytes(width, "little") for r in g.rows), dtype=np.uint8)
+    return np.unpackbits(packed.reshape(n, width), axis=1, count=n, bitorder="little").astype(np.float32)
 
-    The whole panel is evaluated at once from the current adjacency:
+
+def _extension_counts(g: Graph, sets: Iterable[VertexSet], m: int, k: int,
+                      adj: np.ndarray | None) -> list[int]:
+    """R for strictly increasing sets of one size m in [2, k-1]; unvalidated.
 
     * m = k-1: R is the size of the common neighbourhood, the popcount of the
       AND of the sets' rows (rows are irreflexive, so it excludes the set).
     * m = k-2: R is the number of edges inside the common neighbourhood.  With
-      A the 0/1 adjacency matrix and M the stacked products of the rows A[v]
-      over each set's vertices, R = rowsum((M @ A) * M) / 2, one matmul.
-    * otherwise (k >= 5, m <= k-3): ``Graph.count_r`` per set.
+      A the 0/1 adjacency matrix and C the stacked products of the rows A[v]
+      over each set's vertices, R = rowsum((C @ A) * C) / 2, one matmul.
+      ``adj`` must be the current A; None builds it.
+    * otherwise (k >= 5, m <= k-3): the mask recursion per set.
+    """
+    rows = g.rows
+    if m == k - 2:
+        if adj is None:
+            adj = adjacency_matrix(g)
+        cols = np.array(list(sets)).T
+        common = adj[cols[0]]
+        for col in cols[1:]:
+            common *= adj[col]
+        # Exact: every entry of common @ adj is an integer of at most
+        # n < 2^24, and the row sums are taken in float64.
+        twice = ((common @ adj) * common).sum(axis=1, dtype=np.float64)
+        return (twice.astype(np.int64) // 2).tolist()
+    out = []
+    for s in sets:
+        nb = rows[s[0]]
+        for v in s[1:]:
+            nb &= rows[v]
+        out.append(nb.bit_count() if m == k - 1 else count_cliques_in_mask(g, nb, k - m))
+    return out
+
+
+def panel_r_values(g: Graph, panel: Iterable[VertexSet], k: int,
+                   adj: np.ndarray | None = None) -> list[int]:
+    """Exact extension counts R for a panel of m-sets of one size m, in panel order.
+
+    The whole panel is evaluated at once by the kernel ``one_step_drop``
+    also uses (see ``_extension_counts``).  ``adj``, if given, must be the
+    current ``adjacency_matrix(g)``; None builds it when m = k-2 needs it.
 
     Every set must be strictly increasing with vertices in [0, n), and all
     sets must share one size m in [2, k-1]; ``ValueError`` otherwise.
@@ -234,36 +278,7 @@ def panel_r_values(g: Graph, panel: Iterable[VertexSet], k: int) -> list[int]:
         raise ValueError("panel sets must be strictly increasing")
     if arr[:, 0].min() < 0 or arr[:, -1].max() >= g.n:
         raise ValueError(f"panel vertex out of range [0, {g.n})")
-    m = arr.shape[1]
-    rows = g.rows
-    if m == k - 1:
-        out = []
-        for s in arr.tolist():
-            nb = rows[s[0]]
-            for v in s[1:]:
-                nb &= rows[v]
-            out.append(nb.bit_count())
-        return out
-    if m == k - 2:
-        n = g.n
-        width = (n + 7) // 8
-        packed = np.frombuffer(b"".join(r.to_bytes(width, "little") for r in rows), dtype=np.uint8)
-        adj = np.unpackbits(packed.reshape(n, width), axis=1, count=n, bitorder="little")
-        common = adj[arr[:, 0]]
-        for j in range(1, m):
-            common &= adj[arr[:, j]]
-        # float64 keeps this exact: every product and partial sum is an
-        # integer of at most n^2 < 2^53.
-        a = adj.astype(np.float64)
-        c = common.astype(np.float64)
-        twice = ((c @ a) * c).sum(axis=1)
-        return (twice.astype(np.int64) // 2).tolist()
-    return [g.count_r(s, k) for s in arr.tolist()]
-
-
-def hitting_time(trace: ProcessTrace) -> int | None:
-    """M if the run terminated K_k-free, None if it stopped at p_floor early."""
-    return trace.hitting_time
+    return _extension_counts(g, arr.tolist(), arr.shape[1], k, adj)
 
 
 def _select_panel(rng, n: int, sizes: dict[int, int]) -> dict[int, tuple[VertexSet, ...]]:
@@ -350,27 +365,20 @@ class _RejectionSampler:
             self._pos = pos
 
 
-def one_step_drop(g: Graph, u: VertexSet, k: int) -> int:
+def one_step_drop(g: Graph, u: VertexSet, k: int, adj: np.ndarray | None = None) -> int:
     """Exact Q_k(i) - Q_k(i+1) for removing clique ``u``, via extension counts.
 
     Alternating sum over the proper subsets of ``u``: coefficient
     (-1)^m (m-1) on the size-m extension counts, plus the constant
     (-1)^k (k-1).  Exact for any graph state in which ``u`` is complete.
-    Inlined equivalent of summing ``g.count_r`` over the subsets (adjacency
-    rows are irreflexive, so the row intersection already excludes the subset
-    itself); the identity suites pin both routes against enumeration.
+    The counts come from the panel kernel (``_extension_counts``) without
+    validation; ``adj``, if given, must be the current
+    ``adjacency_matrix(g)``, and None builds it for k >= 4.  The identity
+    suites pin this route against ``identities.delta_q_formula``.
     """
-    rows = g.rows
     total = (-1) ** k * (k - 1)
     for m in range(2, k):
-        coeff = (-1) ** m * (m - 1)
-        s = 0
-        for um in combinations(u, m):
-            nb = rows[um[0]]
-            for v in um[1:]:
-                nb &= rows[v]
-            s += count_cliques_in_mask(g, nb, k - m)
-        total += coeff * s
+        total += (-1) ** m * (m - 1) * sum(_extension_counts(g, combinations(u, m), m, k, adj))
     return total
 
 
@@ -401,6 +409,8 @@ def run(cfg: RunConfig) -> ProcessTrace:
     else:
         q = count_k_cliques(g, k)
 
+    # k = 3 has no m = k-2 >= 2 term, so it never needs the matrix
+    adj = adjacency_matrix(g) if k >= 4 else None
     idx: CliqueIndex | None = None
     sampler: _RejectionSampler | None = None
     switched_at: int | None = None
@@ -422,12 +432,12 @@ def run(cfg: RunConfig) -> ProcessTrace:
     checkpoints: list[Checkpoint] = []
 
     def record(i: int) -> None:
-        panel_r = {m: tuple(panel_r_values(g, sets, k)) for m, sets in panel.items()}
+        panel_r = {m: tuple(panel_r_values(g, sets, k, adj)) for m, sets in panel.items()}
         extremes = None
         if cfg.record_full_extremes:
             extremes = {}
             for m in range(2, k):
-                vals = panel_r_values(g, list(combinations(range(n), m)), k)
+                vals = panel_r_values(g, list(combinations(range(n), m)), k, adj)
                 extremes[m] = (min(vals), max(vals))
         checkpoints.append(Checkpoint(i=i, p=current_p(i), edge_count=g.edge_count,
                                       q_k=q, panel_r=panel_r, exact_r_extremes=extremes))
@@ -461,8 +471,11 @@ def run(cfg: RunConfig) -> ProcessTrace:
         else:
             assert sampler is not None
             u = sampler.sample(q)
-            drop = one_step_drop(g, u, k)
+            drop = one_step_drop(g, u, k, adj)
             g.remove_clique_edges(u)
+        if adj is not None:
+            for a, b in combinations(u, 2):
+                adj[a, b] = adj[b, a] = 0
         steps += 1
         q -= drop
         if drop < 1 or q < 0:

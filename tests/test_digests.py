@@ -34,6 +34,9 @@ def sha256(text: str) -> str:
     (RunConfig(n=16, k=5, seed=6, checkpoint_stride=1),
      "41458c5d2bb59b4abf7d98a96d0086d5ec5476eb5a557701bb8de3ef8c5ade0a",
      "c192318c70106c2eaf1edf1d6d05ad0b2f9cbd1e6403342c7c4ab6d33e7f0fab"),
+    (RunConfig(n=20, k=5, seed=7, materialize_at=0),     # k=5 sampling only
+     "879bc8c45e3e3b83581ed0cecc62bf5536ee409b96850187a38f57dbc86ee46e",
+     "203bcb9f05070e95236e67d226cfcef95f7abdf3b674e851a5cc84a67d657c88"),
 ])
 def test_run_digests(cfg, csv_digest, summary_digest):
     trace = run(cfg)

@@ -9,8 +9,8 @@ import pytest
 
 from kremoval.engine import (
     RunConfig,
+    adjacency_matrix,
     default_stride,
-    hitting_time,
     one_step_drop,
     panel_r_values,
     run,
@@ -50,7 +50,6 @@ class TestStopRules:
         # first i with p <= 0.9 is ceil(0.1 * n^2 / 12)
         tr = run(RunConfig(n=100, k=4, seed=3, stop="p_floor", p_floor=0.9))
         assert tr.hitting_time is None
-        assert hitting_time(tr) is None
         assert tr.steps == math.ceil(0.1 * 100 * 100 / 12)
         assert tr.checkpoints[-1].i == tr.steps
         assert tr.final_q > 0
@@ -77,6 +76,19 @@ class TestStopRules:
             RunConfig(n=12, k=4, seed=0, panel_sizes={5: 3}).validate()
         with pytest.raises(ValueError, match="memory budget"):
             RunConfig(n=30, k=4, seed=0, memory_budget_bytes=27405 * 16).validate()
+        for sizes in ({2: -3, 3: 5}, -1):
+            with pytest.raises(ValueError, match="panel_sizes for m=2"):
+                RunConfig(n=12, k=4, seed=0, panel_sizes=sizes).validate()
+
+    def test_memory_guard_charges_adjacency_matrix(self):
+        # materialize_at=0 never builds the index, so the float32 adjacency
+        # matrix of a k >= 4 run is the whole estimate; k = 3 keeps none
+        n = 200
+        RunConfig(n=n, k=4, seed=0, materialize_at=0, memory_budget_bytes=4 * n * n).validate()
+        with pytest.raises(ValueError, match="memory budget"):
+            RunConfig(n=n, k=4, seed=0, materialize_at=0,
+                      memory_budget_bytes=4 * n * n - 1).validate()
+        RunConfig(n=n, k=3, seed=0, materialize_at=0, memory_budget_bytes=0).validate()
 
 
 class TestTraceInvariants:
@@ -161,6 +173,32 @@ class TestSamplingStrategy:
             assert one_step_drop(g, u, 3) == delta_q_formula(g, u, 3)
         for u in enumerate_k_cliques(g, 4)[:25]:
             assert one_step_drop(g, u, 4) == delta_q_formula(g, u, 4)
+        # seeded random graphs: remove cliques one after another as run()
+        # does, with the matrix built once and zeroed on the removed pairs,
+        # and with adj=None; planted k-sets give sparse graphs cliques
+        n = 14
+        for k in (3, 4, 5):
+            for density in (0.3, 0.6, 0.9):
+                rng = np.random.Generator(np.random.PCG64(100 * k + int(10 * density)))
+                g = Graph.empty(n)
+                for a, b in combinations(range(n), 2):
+                    if rng.random() < density:
+                        g.add_edge(a, b)
+                for _ in range(4):
+                    for a, b in combinations(rng.choice(n, size=k, replace=False).tolist(), 2):
+                        g.add_edge(a, b)
+                adj = adjacency_matrix(g)
+                removed = 0
+                while removed < 8 and (cliques := enumerate_k_cliques(g, k)):
+                    u = cliques[int(rng.integers(len(cliques)))]
+                    want = delta_q_formula(g, u, k)
+                    assert one_step_drop(g, u, k, adj) == want
+                    assert one_step_drop(g, u, k) == want
+                    g.remove_clique_edges(u)
+                    adj[np.ix_(u, u)] = 0
+                    assert np.array_equal(adj, adjacency_matrix(g))
+                    removed += 1
+                assert removed >= 1
 
 
 class TestApproximationMode:
