@@ -10,7 +10,8 @@ per-step drops):
   clique, so it is only viable while the clique count is modest.
 * ``sampling``: used while Q_k is too large to materialize (Q_k(0) = C(n, k)
   reaches 3.3e8 already at n = 300, k = 4).  A uniform clique is drawn by
-  rejection over uniform k-subsets, and Q_k is advanced exactly through the
+  rejection over uniform k-subsets, screened a batch at a time against the
+  run's adjacency matrix, and Q_k is advanced exactly through the
   alternating-sum identity that expresses the one-step drop via the extension
   counts R of the removed clique's subsets.  The identity is exercised
   exhaustively by the identity suites, and every run re-validates it at the
@@ -22,6 +23,11 @@ A run auto-selects ``sampling`` when the initial count exceeds
 threshold, so runs to the hitting time stay fast at the end where rejection
 would stall.  For a fixed config the strategy schedule is deterministic, and
 identical seeds give bit-identical traces.
+
+Every run keeps one float32 0/1 adjacency matrix (``adjacency_matrix``,
+4 n^2 bytes) beside the graph's bitset rows and zeroes the removed clique's
+pairs after every step; the sampler's screen, the one-step drop and the
+checkpoint panels all read it.
 """
 
 from __future__ import annotations
@@ -93,8 +99,8 @@ class RunConfig:
         check_count_guard(self.n, self.k)
         est_q0 = comb(self.n, self.k) * self.p_start ** comb(self.k, 2)
         peak = min(est_q0, float(self.materialize_at))
-        # k >= 4 runs keep adjacency_matrix(g) for the whole run
-        adj_bytes = 4 * self.n * self.n if self.k >= 4 else 0
+        # every run keeps adjacency_matrix(g) for the whole run
+        adj_bytes = 4 * self.n * self.n
         if peak * bytes_per_clique(self.k) + adj_bytes > self.memory_budget_bytes:
             raise ValueError(
                 f"estimated peak of {peak:.3g} materialized cliques plus a "
@@ -300,69 +306,47 @@ def _select_panel(rng, n: int, sizes: dict[int, int]) -> dict[int, tuple[VertexS
 class _RejectionSampler:
     """Uniform K_k sampling by rejection over uniform k-subsets.
 
-    Candidate k-subsets are drawn in deterministic batches sized from the
-    current acceptance rate Q_k / C(n, k); the first complete candidate wins,
-    which is exactly sequential rejection, so every current clique is returned
-    with probability 1/Q_k.
+    Candidate k-tuples are drawn in deterministic batches sized from the
+    current acceptance rate Q_k / C(n, k).  ``_refill`` screens a whole batch
+    with C(k, 2) gathers from ``adj``, the run's current adjacency matrix;
+    its diagonal is zero, so a tuple with a repeated vertex fails too.  The
+    passing tuples are kept, sorted, in draw order.  Edges are only ever
+    removed, so a tuple that failed the screen would fail later too, and
+    ``sample`` re-checks only the kept ones against ``g.rows``: the first
+    that is still complete is exactly the sequential-rejection result, so
+    every current clique is returned with probability 1/Q_k.
     """
 
-    def __init__(self, g: Graph, k: int, rng):
+    def __init__(self, g: Graph, k: int, rng, adj: np.ndarray):
         self.g = g
         self.k = k
         self.rng = rng
+        self.adj = adj
         self.total = comb(g.n, k)
-        self._pool: list[tuple[int, ...]] = []
+        self._pool: list[list[int]] = []
         self._pos = 0
 
     def _refill(self, q: int) -> None:
+        n = self.g.n
         count = min(max(256, 3 * self.total // max(q, 1)), 1 << 16)
-        draws = np.sort(self.rng.integers(0, self.g.n, size=(count, self.k)), axis=1)
-        self._pool = draws.tolist()
+        draws = self.rng.integers(0, n, size=(count, self.k))
+        flat = self.adj.ravel()
+        ok = np.ones(count, dtype=bool)
+        for i, j in combinations(range(self.k), 2):
+            ok &= flat.take(draws[:, i] * n + draws[:, j]) != 0
+        self._pool = np.sort(draws[ok], axis=1).tolist()
         self._pos = 0
 
     def sample(self, q: int) -> VertexSet:
         rows = self.g.rows
-        k = self.k
         while True:
-            if self._pos >= len(self._pool):
-                self._refill(q)
             pool = self._pool
-            size = len(pool)
-            pos = self._pos
-            if k == 3:
-                while pos < size:
-                    a, b, c = pool[pos]
-                    pos += 1
-                    if a < b < c and rows[a] >> b & 1 and rows[a] >> c & 1 and rows[b] >> c & 1:
-                        self._pos = pos
-                        return (a, b, c)
-            elif k == 4:
-                while pos < size:
-                    a, b, c, d = pool[pos]
-                    pos += 1
-                    if (a < b < c < d
-                            and rows[a] >> b & 1 and rows[a] >> c & 1 and rows[a] >> d & 1
-                            and rows[b] >> c & 1 and rows[b] >> d & 1 and rows[c] >> d & 1):
-                        self._pos = pos
-                        return (a, b, c, d)
-            else:
-                while pos < size:
-                    cand = pool[pos]
-                    pos += 1
-                    ok = True
-                    for i in range(k):
-                        a = cand[i]
-                        row = rows[a]
-                        for j in range(i + 1, k):
-                            if cand[j] == a or not row >> cand[j] & 1:
-                                ok = False
-                                break
-                        if not ok:
-                            break
-                    if ok:
-                        self._pos = pos
-                        return tuple(cand)
-            self._pos = pos
+            while self._pos < len(pool):
+                cand = pool[self._pos]
+                self._pos += 1
+                if all(rows[a] >> b & 1 for a, b in combinations(cand, 2)):
+                    return tuple(cand)
+            self._refill(q)
 
 
 def one_step_drop(g: Graph, u: VertexSet, k: int, adj: np.ndarray | None = None) -> int:
@@ -409,8 +393,7 @@ def run(cfg: RunConfig) -> ProcessTrace:
     else:
         q = count_k_cliques(g, k)
 
-    # k = 3 has no m = k-2 >= 2 term, so it never needs the matrix
-    adj = adjacency_matrix(g) if k >= 4 else None
+    adj = adjacency_matrix(g)
     idx: CliqueIndex | None = None
     sampler: _RejectionSampler | None = None
     switched_at: int | None = None
@@ -420,7 +403,7 @@ def run(cfg: RunConfig) -> ProcessTrace:
             raise AssertionError("initial clique count mismatch")
         switched_at = 0
     else:
-        sampler = _RejectionSampler(g, k, rng)
+        sampler = _RejectionSampler(g, k, rng, adj)
 
     def current_p(i: int) -> float:
         if nominal:
@@ -473,9 +456,8 @@ def run(cfg: RunConfig) -> ProcessTrace:
             u = sampler.sample(q)
             drop = one_step_drop(g, u, k, adj)
             g.remove_clique_edges(u)
-        if adj is not None:
-            for a, b in combinations(u, 2):
-                adj[a, b] = adj[b, a] = 0
+        for a, b in combinations(u, 2):
+            adj[a, b] = adj[b, a] = 0
         steps += 1
         q -= drop
         if drop < 1 or q < 0:

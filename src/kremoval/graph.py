@@ -101,18 +101,22 @@ class Graph:
             self.rows[v] &= ~(1 << u)
             self.edge_count -= 1
 
+    def _spans_clique(self, vs: VertexSet, m: int) -> bool:
+        """True iff the in-range vertices ``vs``, with mask ``m``, are complete."""
+        rows = self.rows
+        for v in vs:
+            others = m ^ (1 << v)
+            if rows[v] & others != others:
+                return False
+        return True
+
     def is_complete(self, s: Iterable[int]) -> bool:
         """True iff every pair inside ``s`` is adjacent (vacuous for |s|=1)."""
         vs = as_vertex_set(s)
         if not vs:
             raise ValueError("empty vertex set")
         self._check_vertex(vs[-1])
-        m = mask_of(vs)
-        for v in vs:
-            others = m ^ (1 << v)
-            if self.rows[v] & others != others:
-                return False
-        return True
+        return self._spans_clique(vs, mask_of(vs))
 
     def remove_clique_edges(self, u: Iterable[int]) -> None:
         """Delete every edge inside ``u``; ``u`` must currently be complete.
@@ -123,16 +127,14 @@ class Graph:
         vs = as_vertex_set(u)
         if len(vs) < 2:
             raise ValueError("clique must have at least 2 vertices")
-        if not self.is_complete(vs):
+        self._check_vertex(vs[-1])
+        m = mask_of(vs)
+        if not self._spans_clique(vs, m):
             raise ValueError(f"vertex set {vs} is not a clique in the current graph")
-        for i, a in enumerate(vs):
-            for b in vs[i + 1:]:
-                self.rows[a] &= ~(1 << b)
-                self.rows[b] &= ~(1 << a)
+        keep = ~m
+        for v in vs:
+            self.rows[v] &= keep
         self.edge_count -= len(vs) * (len(vs) - 1) // 2
-
-    def neighbors_mask(self, v: int) -> int:
-        return self.rows[v]
 
     def common_neighborhood_mask(self, u: Iterable[int]) -> int:
         """Bitset of vertices adjacent to every member of ``u``, minus ``u``."""
@@ -240,26 +242,30 @@ def count_cliques_in_mask(g: Graph, mask: int, size: int) -> int:
 
 def enumerate_cliques_in_mask(g: Graph, mask: int, size: int) -> list[VertexSet]:
     """All complete ``size``-subsets of ``mask``, lexicographic."""
-    if size == 0:
-        return [()]
     out: list[VertexSet] = []
-    rows = g.rows
-
-    def rec(prefix: tuple[int, ...], cand: int, left: int) -> None:
-        if left == 0:
-            out.append(prefix)
-            return
-        if cand.bit_count() < left:
-            return
-        m = cand
-        while m:
-            low = m & -m
-            m ^= low
-            v = low.bit_length() - 1
-            rec(prefix + (v,), rows[v] & m, left - 1)
-
-    rec((), mask, size)
+    _enumerate_into(g.rows, (), mask, size, out)
     return out
+
+
+def _enumerate_into(rows: list[int], prefix: VertexSet, cand: int, left: int,
+                    out: list[VertexSet]) -> None:
+    """Append ``prefix`` extended by every complete ``left``-subset of ``cand``.
+
+    A module-level function, not a closure: a recursive closure refers to
+    itself through its cell, and that cycle would keep ``out`` alive until a
+    full garbage collection.
+    """
+    if left == 0:
+        out.append(prefix)
+        return
+    if cand.bit_count() < left:
+        return
+    m = cand
+    while m:
+        low = m & -m
+        m ^= low
+        v = low.bit_length() - 1
+        _enumerate_into(rows, prefix + (v,), rows[v] & m, left - 1, out)
 
 
 def enumerate_k_cliques(g: Graph, k: int) -> list[VertexSet]:

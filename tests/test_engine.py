@@ -1,5 +1,6 @@
 """Process engine: runs, traces, determinism, stop rules, both strategies."""
 
+import gc
 import math
 from itertools import combinations
 from math import comb
@@ -9,6 +10,7 @@ import pytest
 
 from kremoval.engine import (
     RunConfig,
+    _RejectionSampler,
     adjacency_matrix,
     default_stride,
     one_step_drop,
@@ -31,6 +33,16 @@ class TestDeterministicInstance:
         tr = run(RunConfig(n=4, k=4, seed=0))
         assert tr.hitting_time == 1
         assert tr.final_edge_count == 0
+
+    def test_run_leaves_no_cyclic_garbage(self):
+        # n=30, k=4 enumerates all 27405 cliques to build its index
+        gc.collect()
+        gc.disable()
+        try:
+            run(RunConfig(n=30, k=4, seed=3))
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_same_seed_identical_traces(self):
         cfg = RunConfig(n=20, k=4, seed=77)
@@ -80,15 +92,15 @@ class TestStopRules:
             with pytest.raises(ValueError, match="panel_sizes for m=2"):
                 RunConfig(n=12, k=4, seed=0, panel_sizes=sizes).validate()
 
-    def test_memory_guard_charges_adjacency_matrix(self):
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_memory_guard_charges_adjacency_matrix(self, k):
         # materialize_at=0 never builds the index, so the float32 adjacency
-        # matrix of a k >= 4 run is the whole estimate; k = 3 keeps none
+        # matrix every run keeps is the whole estimate
         n = 200
-        RunConfig(n=n, k=4, seed=0, materialize_at=0, memory_budget_bytes=4 * n * n).validate()
+        RunConfig(n=n, k=k, seed=0, materialize_at=0, memory_budget_bytes=4 * n * n).validate()
         with pytest.raises(ValueError, match="memory budget"):
-            RunConfig(n=n, k=4, seed=0, materialize_at=0,
+            RunConfig(n=n, k=k, seed=0, materialize_at=0,
                       memory_budget_bytes=4 * n * n - 1).validate()
-        RunConfig(n=n, k=3, seed=0, materialize_at=0, memory_budget_bytes=0).validate()
 
 
 class TestTraceInvariants:
@@ -158,6 +170,46 @@ class TestSamplingStrategy:
         tr2 = run(cfg)
         assert tr.checkpoints == tr2.checkpoints
         assert tr.final_q == 0
+
+    @pytest.mark.parametrize("k", [3, 4, 5])
+    def test_screened_sampler_matches_naive_rejection(self, k):
+        # Draw as run() does: each drawn clique leaves g and adj before the
+        # next draw, so tuples that passed a pool's screen go stale.  The
+        # draws must be current cliques and equal a naive walk over the
+        # unscreened, fully sorted pools of an identically seeded RNG.
+        n, total = 12, comb(12, k)
+        stale = 0
+        for seed in range(3):
+            g = Graph.new_complete(n)
+            adj = adjacency_matrix(g)
+            sampler = _RejectionSampler(g, k, np.random.Generator(np.random.PCG64(seed)), adj)
+            screened = []
+            while q := count_k_cliques(g, k):
+                u = sampler.sample(q)
+                assert g.is_complete(u)
+                screened.append(u)
+                g.remove_clique_edges(u)
+                adj[np.ix_(u, u)] = 0
+
+            rng = np.random.Generator(np.random.PCG64(seed))
+            g = Graph.new_complete(n)
+            pool, pos, naive = [], 0, []
+            while q := count_k_cliques(g, k):
+                while True:
+                    if pos == len(pool):
+                        count = min(max(256, 3 * total // q), 1 << 16)
+                        pool = np.sort(rng.integers(0, n, size=(count, k)), axis=1).tolist()
+                        pos, at_refill = 0, g.copy()
+                    cand = tuple(pool[pos])
+                    pos += 1
+                    if len(set(cand)) == k:
+                        if g.is_complete(cand):
+                            break
+                        stale += at_refill.is_complete(cand)
+                naive.append(cand)
+                g.remove_clique_edges(cand)
+            assert screened == naive
+        assert stale > 0
 
     def test_hybrid_switch_self_check(self):
         cfg = RunConfig(n=14, k=3, seed=17, materialize_at=150)
