@@ -92,15 +92,15 @@ class TestStopRules:
             with pytest.raises(ValueError, match="panel_sizes for m=2"):
                 RunConfig(n=12, k=4, seed=0, panel_sizes=sizes).validate()
 
-    @pytest.mark.parametrize("k", [3, 4])
-    def test_memory_guard_charges_adjacency_matrix(self, k):
+    def test_memory_guard_charges_adjacency_matrix(self):
         # materialize_at=0 never builds the index, so the float32 adjacency
         # matrix every run keeps is the whole estimate
         n = 200
-        RunConfig(n=n, k=k, seed=0, materialize_at=0, memory_budget_bytes=4 * n * n).validate()
-        with pytest.raises(ValueError, match="memory budget"):
-            RunConfig(n=n, k=k, seed=0, materialize_at=0,
-                      memory_budget_bytes=4 * n * n - 1).validate()
+        for k in (3, 4):
+            RunConfig(n=n, k=k, seed=0, materialize_at=0, memory_budget_bytes=4 * n * n).validate()
+            with pytest.raises(ValueError, match="memory budget"):
+                RunConfig(n=n, k=k, seed=0, materialize_at=0,
+                          memory_budget_bytes=4 * n * n - 1).validate()
 
 
 class TestTraceInvariants:
