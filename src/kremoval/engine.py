@@ -5,9 +5,9 @@ exact clique count.  Two interchangeable execution strategies produce the
 same observable semantics (exact Q_k at every step, uniform sampling, exact
 per-step drops):
 
-* ``indexed``: the materialized ``CliqueIndex`` with O(1) uniform draws and
-  edge-keyed invalidation.  Memory is ``index.bytes_per_clique(k)`` per
-  clique, so it is only viable while the clique count is modest.
+* ``indexed``: the materialized ``CliqueIndex`` (numpy clique rows, an alive
+  mask and edge buckets).  Building it costs ``index.build_peak_bytes``, so
+  it is only viable while the clique count is modest.
 * ``sampling``: used while Q_k is too large to materialize (Q_k(0) = C(n, k)
   reaches 3.3e8 already at n = 300, k = 4).  A uniform clique is drawn by
   rejection over uniform k-subsets, screened a batch at a time against the
@@ -48,7 +48,7 @@ from .graph import (
     count_k_cliques,
     enumerate_k_cliques,
 )
-from .index import CliqueIndex, bytes_per_clique
+from .index import CliqueIndex, build_peak_bytes
 
 FULL_EXTREMES_MAX_N = 60
 
@@ -98,12 +98,13 @@ class RunConfig:
         self.resolved_panel_sizes()
         check_count_guard(self.n, self.k)
         est_q0 = comb(self.n, self.k) * self.p_start ** comb(self.k, 2)
-        peak = min(est_q0, float(self.materialize_at))
+        peak = int(min(est_q0, self.materialize_at))
         # every run keeps adjacency_matrix(g) for the whole run
         adj_bytes = 4 * self.n * self.n
-        if peak * bytes_per_clique(self.k) + adj_bytes > self.memory_budget_bytes:
+        index_bytes = build_peak_bytes(self.n, self.k, peak) if peak else 0
+        if index_bytes + adj_bytes > self.memory_budget_bytes:
             raise ValueError(
-                f"estimated peak of {peak:.3g} materialized cliques plus a "
+                f"building an index of {peak:.3g} materialized cliques plus a "
                 f"{adj_bytes} B adjacency matrix exceeds the "
                 f"{self.memory_budget_bytes / 2**30:.1f} GiB memory budget; "
                 "lower materialize_at or raise memory_budget_bytes"
@@ -438,12 +439,11 @@ def run(cfg: RunConfig) -> ProcessTrace:
         if cfg.stop == "p_floor" and current_p(steps) <= cfg.p_floor:
             break
         if idx is None and q <= cfg.materialize_at:
-            cliques = enumerate_k_cliques(g, k)
-            if len(cliques) != q:
+            idx = CliqueIndex.from_cliques(g, k, enumerate_k_cliques(g, k))
+            if len(idx) != q:
                 raise AssertionError(
-                    f"maintained count {q} disagrees with enumeration {len(cliques)} at step {steps}"
+                    f"maintained count {q} disagrees with enumeration {len(idx)} at step {steps}"
                 )
-            idx = CliqueIndex.from_cliques(g, k, cliques)
             sampler = None
             switched_at = steps
 

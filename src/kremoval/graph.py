@@ -147,9 +147,6 @@ class Graph:
             m &= self.rows[v]
         return m & ~mask_of(vs)
 
-    def common_neighborhood(self, u: Iterable[int]) -> VertexSet:
-        return tuple(bits_of(self.common_neighborhood_mask(u)))
-
     def count_r(self, u: Iterable[int], k: int) -> int:
         """Number of complete (k-m)-sets inside the common neighborhood of ``u``.
 

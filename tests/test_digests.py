@@ -20,19 +20,19 @@ def sha256(text: str) -> str:
 
 @pytest.mark.parametrize("cfg, csv_digest, summary_digest", [
     (RunConfig(n=120, k=3, seed=4, materialize_at=50_000),
-     "8b97320cce8d6edac2dde827895f8fd0b379e06863f40c151dc0dd3f2570e538",
-     "01b0bb49d348cc5a4ca9e2538088ef9c4567d9f5916f83fcb5c44698db1a732d"),
+     "5be94d51f4aa4d750eb21897658a6764a1e55d1d4bb8432ab8875d761dbe17ec",
+     "d4dc8db9ab1572ac9945557226621eca53e846e0bd774f01aeb6db5bfaa31d06"),
     (RunConfig(n=30, k=4, seed=2, materialize_at=0),    # sampling only
      "b2ea28e7e71847927f35ec731396d5f0e090a6e0cb54c56732be0e33f13d9b77",
      "8af09c561549ae8d19cd01a09c127e0644783c7f5a6658b5b47e901cf7e548c3"),
     (RunConfig(n=30, k=4, seed=3),                      # indexed only
-     "d6afd243b45e878c804f75bb9f962d86cb11c6130ada5b827649dc3965925b2f",
-     "223b52efde18766a8664817474712ed92fead75e879586ee2c0e4f3905c1fb4f"),
+     "407b00f3b2f34513984dc02970d4fdb3bdfe35ede7426d442c4d8f11b72ac02c",
+     "9675cb50c35d30b4d03e7bd3caaabdddf5d8525c4610e1454c06d7fd0d5a78a8"),
     (RunConfig(n=100, k=4, seed=5, stop="p_floor", p_floor=0.5),
-     "44e264dabb14cc532545028589a3bfb834403448c055459ec16001d0c7c8bb8f",
-     "dbde9caf7727e09e522e11bcfbca102a51f4f96d3020575b8c7d3f36f3c8d8ad"),
+     "10abee1a1e5db26022fd46672f5138dbd11e46e2e07858c97fbe53a1d83e70a8",
+     "2b158e99f11db9ae4cffcd8abde0719fb1ff865a35d4a78dbfd09e5004405b8c"),
     (RunConfig(n=16, k=5, seed=6, checkpoint_stride=1),
-     "41458c5d2bb59b4abf7d98a96d0086d5ec5476eb5a557701bb8de3ef8c5ade0a",
+     "fcadb7f6733e156cf7a20d43de81e4835046a506d760462bb069495deea12b5a",
      "c192318c70106c2eaf1edf1d6d05ad0b2f9cbd1e6403342c7c4ab6d33e7f0fab"),
     (RunConfig(n=20, k=5, seed=7, materialize_at=0),     # k=5 sampling only
      "879bc8c45e3e3b83581ed0cecc62bf5536ee409b96850187a38f57dbc86ee46e",
@@ -51,4 +51,4 @@ def test_scored_ensemble_report_digest():
     report = run_ensemble(grid, trials=2, master_seed=3,
                           params=TrajectoryParams(k=4, n=30, p_floor=0.5))
     assert sha256(report_to_json(report)) == (
-        "24e12a1acd0016655addc45333c89967f26d1d2c698fc6297ded657ff42d229e")
+        "19c6f04c094d33433c0cd1b1db0fc28ebf68e8d44c4b64abf0f07a0503db7a4d")

@@ -7,6 +7,7 @@ from math import comb
 
 import numpy as np
 import pytest
+from scipy.stats import ks_2samp
 
 from kremoval.engine import (
     RunConfig,
@@ -19,6 +20,7 @@ from kremoval.engine import (
 )
 from kremoval.graph import Graph, count_k_cliques, enumerate_k_cliques
 from kremoval.identities import delta_q_formula
+from kremoval.index import build_peak_bytes
 
 
 class TestDeterministicInstance:
@@ -101,6 +103,12 @@ class TestStopRules:
             with pytest.raises(ValueError, match="memory budget"):
                 RunConfig(n=n, k=k, seed=0, materialize_at=0,
                           memory_budget_bytes=4 * n * n - 1).validate()
+            # an index of up to materialize_at cliques adds its build peak
+            need = 4 * n * n + build_peak_bytes(n, k, 5000)
+            RunConfig(n=n, k=k, seed=0, materialize_at=5000, memory_budget_bytes=need).validate()
+            with pytest.raises(ValueError, match="memory budget"):
+                RunConfig(n=n, k=k, seed=0, materialize_at=5000,
+                          memory_budget_bytes=need - 1).validate()
 
 
 class TestTraceInvariants:
@@ -210,6 +218,21 @@ class TestSamplingStrategy:
                 g.remove_clique_edges(cand)
             assert screened == naive
         assert stale > 0
+
+    def test_sampling_and_indexed_agree_in_distribution(self):
+        # 300 seeded runs per strategy of K_4-removal on K_16 to the hitting
+        # time: sampling only (materialize_at=0) and indexed only (C(16, 4) =
+        # 1820 cliques materialized at the start).  Two-sample KS on M and on
+        # the final edge count; threshold p >= 1e-3, fixed before running.
+        def outcomes(materialize_at, seeds):
+            traces = [run(RunConfig(n=16, k=4, seed=s, materialize_at=materialize_at,
+                                    panel_sizes=0)) for s in seeds]
+            return [t.hitting_time for t in traces], [t.final_edge_count for t in traces]
+
+        sampling = outcomes(0, range(300))
+        indexed = outcomes(100_000, range(1000, 1300))
+        for a, b in zip(sampling, indexed):
+            assert ks_2samp(a, b).pvalue >= 1e-3
 
     def test_hybrid_switch_self_check(self):
         cfg = RunConfig(n=14, k=3, seed=17, materialize_at=150)

@@ -5,13 +5,28 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.stats import chisquare
 
 from kremoval.graph import Graph, enumerate_k_cliques
-from kremoval.index import CliqueIndex, ProcessTerminated, bytes_per_clique
+from kremoval.index import CliqueIndex, ProcessTerminated, build_peak_bytes
 
 
 def rng(seed=0):
     return np.random.Generator(np.random.PCG64(seed))
+
+
+def assert_guard_fits_build(g, k):
+    """The guard's charge is at least the peak traced bytes of a build, and at most twice it."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        idx = CliqueIndex.build(g, k)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert len(idx) > 1000
+    assert peak <= build_peak_bytes(g.n, k, len(idx)) <= 2 * peak
 
 
 class TestBuild:
@@ -33,16 +48,18 @@ class TestBuild:
     @pytest.mark.parametrize("k, n", [(3, 40), (3, 60), (4, 20), (4, 26), (4, 34), (5, 14), (5, 24)])
     def test_memory_within_estimate(self, k, n):
         # peak traced bytes of a build on K_n, against the engine's memory guard
+        assert_guard_fits_build(Graph.new_complete(n), k)
+
+    @pytest.mark.parametrize("k, n, p", [(3, 800, 0.05), (4, 300, 0.2), (5, 200, 0.35)])
+    def test_memory_within_estimate_sparse(self, k, n, p):
+        # G(n, p) states like those at the strategy switch, with vertex ids above 256
+        r = rng(n)
         g = Graph.new_complete(n)
-        gc.collect()
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            idx = CliqueIndex.build(g, k)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak - base <= len(idx) * bytes_per_clique(k)
+        for a in range(n):
+            for b in range(a + 1, n):
+                if r.random() >= p:
+                    g.remove_edge(a, b)
+        assert_guard_fits_build(g, k)
 
 
 class TestSampling:
@@ -68,6 +85,23 @@ class TestSampling:
             counts[c] = counts.get(c, 0) + 1
         assert len(counts) == 15
         assert all(abs(v - 10_000) <= 500 for v in counts.values()), counts
+
+    def test_uniformity_after_compaction(self):
+        # Remove cliques from K_14 (1001 K_4) until fewer than 40% are left:
+        # fewer than half the slots were alive at some removal, so the index
+        # has compacted at least once.  Then 200 draws per clique; threshold
+        # p >= 1e-3 for the chi-square goodness of fit to uniform.
+        g = Graph.new_complete(14)
+        idx = CliqueIndex.build(g, 4)
+        r = rng(20261020)
+        while len(idx) >= 0.4 * 1001:
+            idx.apply_removal(g, idx.sample_uniform(r))
+        current = idx.cliques
+        counts = dict.fromkeys(current, 0)
+        for _ in range(200 * len(current)):
+            counts[idx.sample_uniform(r)] += 1
+        assert len(counts) == len(current) > 100
+        assert chisquare(list(counts.values())).pvalue >= 1e-3
 
 
 class TestApplyRemoval:
@@ -101,6 +135,10 @@ class TestApplyRemoval:
         idx.apply_removal(g, (0, 1, 2, 3))
         with pytest.raises(ValueError):
             idx.apply_removal(g, (0, 1, 2, 3))
+        for u in [(2, 3, 4), (1, 2, 3, 4, 5), (2, 3, 4, 6)]:   # wrong size, out of range
+            with pytest.raises(ValueError):
+                idx.apply_removal(g, u)
+        idx.check_against(g)
 
     def test_survivors_share_at_most_one_vertex(self):
         g = Graph.new_complete(8)
