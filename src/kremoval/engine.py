@@ -170,16 +170,15 @@ class ProcessTrace:
         for prev, cur in zip(cps, cps[1:]):
             assert prev.i < cur.i, "checkpoint steps not strictly increasing"
             assert cur.q_k <= prev.q_k, "Q_k increased"
-            for m, vals in cur.panel_r.items():
-                for a, b in zip(prev.panel_r[m], vals):
-                    assert b <= a, f"panel R increased for m={m}"
+        for m in cps[0].panel_r:
+            assert (_panel_drops(cps, m) >= 0).all(), f"panel R increased for m={m}"
         for cp in cps:
             if e0 is not None:
                 assert cp.edge_count == e0 - ck2 * cp.i, "edge-count identity violated"
 
     def summary(self) -> dict:
         cfg = self.config
-        out = {
+        return {
             "n": cfg.n,
             "k": cfg.k,
             "seed": cfg.seed,
@@ -197,7 +196,6 @@ class ProcessTrace:
             "switched_to_index_at": self.switched_to_index_at,
             "checkpoints": len(self.checkpoints),
         }
-        return out
 
     def to_csv(self) -> str:
         ms = sorted(self.panel)
@@ -220,6 +218,11 @@ class ProcessTrace:
         return json.dumps(self.summary(), sort_keys=True, indent=2)
 
 
+def _panel_drops(checkpoints: list[Checkpoint], m: int) -> np.ndarray:
+    """(C-1, P) decrease of each size-m panel value between consecutive checkpoints."""
+    return -np.diff(np.array([cp.panel_r[m] for cp in checkpoints], dtype=np.int64), axis=0)
+
+
 def adjacency_matrix(g: Graph) -> np.ndarray:
     """The graph's 0/1 adjacency as an (n, n) float32 matrix (4 n^2 bytes)."""
     n = g.n
@@ -228,9 +231,11 @@ def adjacency_matrix(g: Graph) -> np.ndarray:
     return np.unpackbits(packed.reshape(n, width), axis=1, count=n, bitorder="little").astype(np.float32)
 
 
-def _extension_counts(g: Graph, sets: Iterable[VertexSet], m: int, k: int,
+def _extension_counts(g: Graph, sets: np.ndarray | Iterable[VertexSet], m: int, k: int,
                       adj: np.ndarray | None) -> list[int]:
     """R for strictly increasing sets of one size m in [2, k-1]; unvalidated.
+
+    ``sets`` is an int ``(P, m)`` array or an iterable of vertex tuples.
 
     * m = k-1: R is the size of the common neighbourhood, the popcount of the
       AND of the sets' rows (rows are irreflexive, so it excludes the set).
@@ -244,7 +249,7 @@ def _extension_counts(g: Graph, sets: Iterable[VertexSet], m: int, k: int,
     if m == k - 2:
         if adj is None:
             adj = adjacency_matrix(g)
-        cols = np.array(list(sets)).T
+        cols = (sets if isinstance(sets, np.ndarray) else np.array(list(sets))).T
         common = adj[cols[0]]
         for col in cols[1:]:
             common *= adj[col]
@@ -253,7 +258,7 @@ def _extension_counts(g: Graph, sets: Iterable[VertexSet], m: int, k: int,
         twice = ((common @ adj) * common).sum(axis=1, dtype=np.float64)
         return (twice.astype(np.int64) // 2).tolist()
     out = []
-    for s in sets:
+    for s in sets.tolist() if isinstance(sets, np.ndarray) else sets:
         nb = rows[s[0]]
         for v in s[1:]:
             nb &= rows[v]
@@ -261,31 +266,33 @@ def _extension_counts(g: Graph, sets: Iterable[VertexSet], m: int, k: int,
     return out
 
 
-def panel_r_values(g: Graph, panel: Iterable[VertexSet], k: int,
+def panel_r_values(g: Graph, panel: np.ndarray | Iterable[VertexSet], k: int,
                    adj: np.ndarray | None = None) -> list[int]:
     """Exact extension counts R for a panel of m-sets of one size m, in panel order.
 
-    The whole panel is evaluated at once by the kernel ``one_step_drop``
-    also uses (see ``_extension_counts``).  ``adj``, if given, must be the
-    current ``adjacency_matrix(g)``; None builds it when m = k-2 needs it.
-
-    Every set must be strictly increasing with vertices in [0, n), and all
-    sets must share one size m in [2, k-1]; ``ValueError`` otherwise.
+    ``panel`` is an int ``(P, m)`` array, used as it is, or an iterable of
+    integer tuples.  All sets must share one size m in [2, k-1] and be
+    strictly increasing with vertices in [0, n); ``ValueError`` otherwise,
+    also for float, string or bool vertex ids.  The whole panel is evaluated
+    at once by ``_extension_counts``, the kernel ``one_step_drop`` also uses;
+    ``adj``, if given, must be the current ``adjacency_matrix(g)``, and None
+    builds it when m = k-2 needs it.
     """
-    sets = list(panel)
-    if not sets:
+    sets = panel if isinstance(panel, np.ndarray) else list(panel)
+    arr = np.asarray(sets)
+    if arr.shape[:1] == (0,):
         return []
-    try:
-        arr = np.array(sets, dtype=np.int64)
-    except (TypeError, ValueError) as exc:
-        raise ValueError("panel sets must be integer tuples of one size m") from exc
+    if not np.issubdtype(arr.dtype, np.integer):
+        raise ValueError(f"panel vertex ids must be integers, got dtype {arr.dtype}")
     if arr.ndim != 2 or not 2 <= arr.shape[1] <= k - 1:
         raise ValueError(f"panel sets must share one size m in [2, k-1={k - 1}]")
+    if sets is not panel and any(isinstance(v, (bool, np.bool_)) for s in sets for v in s):
+        raise ValueError("panel vertex ids must be integers, not bools")
     if np.any(arr[:, 1:] <= arr[:, :-1]):
         raise ValueError("panel sets must be strictly increasing")
     if arr[:, 0].min() < 0 or arr[:, -1].max() >= g.n:
         raise ValueError(f"panel vertex out of range [0, {g.n})")
-    return _extension_counts(g, arr.tolist(), arr.shape[1], k, adj)
+    return _extension_counts(g, arr, arr.shape[1], k, adj)
 
 
 def _select_panel(rng, n: int, sizes: dict[int, int]) -> dict[int, tuple[VertexSet, ...]]:
@@ -384,15 +391,13 @@ def run(cfg: RunConfig) -> ProcessTrace:
                 e += 1
 
     panel = _select_panel(rng, n, cfg.resolved_panel_sizes())
+    panel_arrays = {m: np.array(sets, dtype=np.int64).reshape(-1, m) for m, sets in panel.items()}
     stride = cfg.resolved_stride()
     ck2 = comb(k, 2)
     e_start = g.edge_count
     nominal = cfg.p_start == 1.0
 
-    if nominal:
-        q = comb(n, k)
-    else:
-        q = count_k_cliques(g, k)
+    q = comb(n, k) if nominal else count_k_cliques(g, k)
 
     adj = adjacency_matrix(g)
     idx: CliqueIndex | None = None
@@ -416,12 +421,12 @@ def run(cfg: RunConfig) -> ProcessTrace:
     checkpoints: list[Checkpoint] = []
 
     def record(i: int) -> None:
-        panel_r = {m: tuple(panel_r_values(g, sets, k, adj)) for m, sets in panel.items()}
+        panel_r = {m: tuple(panel_r_values(g, arr, k, adj)) for m, arr in panel_arrays.items()}
         extremes = None
         if cfg.record_full_extremes:
             extremes = {}
             for m in range(2, k):
-                vals = panel_r_values(g, list(combinations(range(n), m)), k, adj)
+                vals = panel_r_values(g, np.array(list(combinations(range(n), m))), k, adj)
                 extremes[m] = (min(vals), max(vals))
         checkpoints.append(Checkpoint(i=i, p=current_p(i), edge_count=g.edge_count,
                                       q_k=q, panel_r=panel_r, exact_r_extremes=extremes))
@@ -473,15 +478,10 @@ def run(cfg: RunConfig) -> ProcessTrace:
     if checkpoints[-1].i != steps:
         record(steps)
 
-    max_drop_r: dict[int, int] = {m: 0 for m in panel}
-    max_drop_r_at: dict[int, int | None] = {m: None for m in panel}
-    for prev, cur in zip(checkpoints, checkpoints[1:]):
-        for m in panel:
-            for a, b in zip(prev.panel_r[m], cur.panel_r[m]):
-                d = a - b
-                if d > max_drop_r[m]:
-                    max_drop_r[m] = d
-                    max_drop_r_at[m] = cur.i
+    # the largest drop per checkpoint pair; argmax keeps the first such pair
+    worst = {m: _panel_drops(checkpoints, m).max(axis=1, initial=0) for m in panel}
+    max_drop_r = {m: int(w.max(initial=0)) for m, w in worst.items()}
+    max_drop_r_at = {m: checkpoints[w.argmax() + 1].i if max_drop_r[m] else None for m, w in worst.items()}
 
     trace = ProcessTrace(
         config=cfg,

@@ -1,5 +1,6 @@
 """Process engine: runs, traces, determinism, stop rules, both strategies."""
 
+import dataclasses
 import gc
 import math
 from itertools import combinations
@@ -138,13 +139,71 @@ class TestTraceInvariants:
         for m, vals in cp0.panel_r.items():
             assert set(vals) == {comb(n - m, k - m)}
 
+    @staticmethod
+    def naive_max_drop_r(tr):
+        # the largest panel-R decrease over consecutive checkpoints, and the
+        # later checkpoint of the first pair that shows it
+        best = {m: 0 for m in tr.panel}
+        at = {m: None for m in tr.panel}
+        for prev, cur in zip(tr.checkpoints, tr.checkpoints[1:]):
+            for m in tr.panel:
+                for a, b in zip(prev.panel_r[m], cur.panel_r[m]):
+                    if a - b > best[m]:
+                        best[m], at[m] = a - b, cur.i
+        return best, at
+
     def test_max_step_drop_r_stride1(self):
+        for k, n in ((3, 14), (4, 12), (5, 10)):
+            for stride in (1, 3):
+                tr = run(RunConfig(n=n, k=k, seed=4, checkpoint_stride=stride))
+                best, at = self.naive_max_drop_r(tr)
+                assert all(best.values()) and all(v is not None for v in at.values())
+                assert (tr.max_step_drop_r, tr.max_step_drop_r_at) == (best, at)
+            # no panel sets, and a stop before the first step
+            for cfg in (RunConfig(n=n, k=k, seed=4, panel_sizes=0),
+                        RunConfig(n=n, k=k, seed=4, stop="p_floor", p_floor=1.0)):
+                tr = run(cfg)
+                assert tr.max_step_drop_r == {m: 0 for m in range(2, k)}
+                assert tr.max_step_drop_r_at == {m: None for m in range(2, k)}
+                assert self.naive_max_drop_r(tr) == (tr.max_step_drop_r, tr.max_step_drop_r_at)
+
+    def test_validate_rejects_raised_panel_value(self):
         tr = run(RunConfig(n=12, k=4, seed=4, checkpoint_stride=1))
+        tr.validate()
         for m in (2, 3):
-            drops = []
-            for prev, cur in zip(tr.checkpoints, tr.checkpoints[1:]):
-                drops += [a - b for a, b in zip(prev.panel_r[m], cur.panel_r[m])]
-            assert tr.max_step_drop_r[m] == max(drops)
+            cps = list(tr.checkpoints)
+            prev, cur = cps[-2], cps[-1]
+            vals = list(cur.panel_r[m])
+            vals[0] = prev.panel_r[m][0] + 1
+            cps[-1] = dataclasses.replace(cur, panel_r={**cur.panel_r, m: tuple(vals)})
+            with pytest.raises(AssertionError, match=f"panel R increased for m={m}"):
+                dataclasses.replace(tr, checkpoints=cps).validate()
+
+    @pytest.mark.parametrize("k, n", [(3, 24), (4, 16), (5, 14)])
+    def test_final_panel_matches_count_r(self, k, n, monkeypatch):
+        # Capture each run's graph as it is built; after the run it holds the
+        # state at the hitting time, and the last checkpoint's panel must
+        # equal the oracle (panel sets need not be cliques, so R need not be 0).
+        graphs = []
+        new_complete = Graph.new_complete
+
+        def capture(n):
+            graphs.append(new_complete(n))
+            return graphs[-1]
+
+        monkeypatch.setattr(Graph, "new_complete", staticmethod(capture))
+        q0 = comb(n, k)
+        for materialize_at, switched in ((0, None), (q0, 0), (q0 // 4, "later")):
+            tr = run(RunConfig(n=n, k=k, seed=8, materialize_at=materialize_at))
+            if switched == "later":
+                assert 0 < tr.switched_to_index_at < tr.steps
+            else:
+                assert tr.switched_to_index_at == switched
+            g, last = graphs[-1], tr.checkpoints[-1]
+            assert last.i == tr.hitting_time == tr.steps and last.edge_count == g.edge_count
+            for m, sets in tr.panel.items():
+                assert last.panel_r[m] == tuple(g.count_r(s, k) for s in sets)
+                assert any(last.panel_r[m])
 
     def test_full_extremes(self):
         tr = run(RunConfig(n=10, k=4, seed=6, record_full_extremes=True,
@@ -315,7 +374,11 @@ class TestPanelAndExports:
                     g.add_edge(a, b)
             for m in range(2, k):
                 sets = list(combinations(range(n), m))
-                assert panel_r_values(g, sets, k) == [g.count_r(s, k) for s in sets]
+                want = [g.count_r(s, k) for s in sets]
+                assert panel_r_values(g, sets, k) == want
+                assert panel_r_values(g, np.array(sets), k) == want
+                assert panel_r_values(g, np.array(sets, dtype=np.int32)[::-1], k) == want[::-1]
+                assert panel_r_values(g, np.empty((0, m), dtype=np.int64), k) == []
 
     @pytest.mark.parametrize("sets", [
         [(0, 1), (0, 1, 2)],    # mixed sizes
@@ -325,6 +388,9 @@ class TestPanelAndExports:
         [(-1, 2)],
         [(0,)],                 # m < 2
         [(0, 1, 2, 3)],         # m > k-1
+        [(0.5, 1.7)],           # float ids, not truncated to (0, 1)
+        [("1", "2")],           # string ids
+        [(True, 2)],            # bool id mixed with ints
     ])
     def test_panel_r_values_rejects(self, sets):
         with pytest.raises(ValueError):
