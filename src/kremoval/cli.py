@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 
 from .engine import RunConfig, run
 from .ensemble import report_to_json, run_ensemble
@@ -21,6 +22,7 @@ from .tail_bounds import azuma_bound, bohman_bound, chernoff_bound, union_bound_
 from .trajectory import TrajectoryParams, emit_curves
 
 MAX_GAMMA_M = 7
+_CONFIG_KEYS = {f.name for f in fields(RunConfig)} | {"n_grid"}
 
 
 def _add_param_flags(p: argparse.ArgumentParser) -> None:
@@ -53,30 +55,27 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--panel", type=int, default=None, help="panel sets per m")
     p.add_argument("--p-floor", type=float, default=None)
     p.add_argument("--stop", choices=["hitting-time", "p-floor"], default=None)
-    p.add_argument("--p-start", type=float, default=None,
-                   help="start density < 1 enables the flagged approximation mode")
     p.add_argument("--materialize-at", type=int, default=None,
                    help="clique count at which the dense index is built")
     p.add_argument("--config", type=str, default=None,
                    help="JSON file with run options; flags override")
 
 
-def _merge_config(args, single_n: bool) -> dict:
+def _merge_config(args, single_n: bool) -> dict | None:
+    """Config-file options overridden by flags; None if the file has unknown keys."""
     base: dict = {}
     if args.config:
         with open(args.config) as fh:
             base = json.load(fh)
-    def take(flag, key, cast=None):
-        val = getattr(args, flag, None)
-        if val is not None:
-            base[key] = cast(val) if cast else val
-    take("k", "k")
-    take("seed", "seed")
-    take("stride", "checkpoint_stride")
-    take("panel", "panel_sizes")
-    take("p_floor", "p_floor")
-    take("p_start", "p_start")
-    take("materialize_at", "materialize_at")
+        if unknown := sorted(set(base) - _CONFIG_KEYS):
+            print(f"{args.command}: unknown config keys: {', '.join(unknown)}", file=sys.stderr)
+            return None
+    base.setdefault("seed", 0)
+    for flag, key in (("k", "k"), ("seed", "seed"), ("stride", "checkpoint_stride"),
+                      ("panel", "panel_sizes"), ("p_floor", "p_floor"),
+                      ("materialize_at", "materialize_at")):
+        if (val := getattr(args, flag, None)) is not None:
+            base[key] = val
     if args.stop is not None:
         base["stop"] = args.stop.replace("-", "_")
     if args.n is not None:
@@ -89,7 +88,8 @@ def _merge_config(args, single_n: bool) -> dict:
 
 def _cmd_run(args) -> int:
     opts = _merge_config(args, single_n=True)
-    opts.setdefault("seed", 0)
+    if opts is None:
+        return 2
     n_grid = opts.pop("n_grid", None)
     if n_grid:
         opts["n"] = n_grid[0]
@@ -109,7 +109,8 @@ def _cmd_run(args) -> int:
 
 def _cmd_sweep(args) -> int:
     opts = _merge_config(args, single_n=False)
-    opts.setdefault("seed", 0)
+    if opts is None:
+        return 2
     n_grid = opts.pop("n_grid", None)
     if not n_grid:
         n_val = opts.pop("n", None)

@@ -45,16 +45,20 @@ from .graph import (
     VertexSet,
     check_count_guard,
     count_cliques_in_mask,
-    count_k_cliques,
     enumerate_k_cliques,
 )
 from .index import CliqueIndex, build_peak_bytes
+from .trajectory import p_of
 
-FULL_EXTREMES_MAX_N = 60
 
 def default_stride(n: int, k: int) -> int:
     """Roughly 400 checkpoints per full run, uniform in p."""
     return max(1, n * n // (k * (k - 1) * 400))
+
+
+def _is_count(x, least: int) -> bool:
+    """True for a Python or numpy integer (not a bool) that is at least ``least``."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool) and x >= least
 
 
 @dataclass(frozen=True)
@@ -66,15 +70,8 @@ class RunConfig:
     p_floor: float = 0.3
     checkpoint_stride: int | None = None    # None -> default_stride(n, k)
     panel_sizes: int | dict[int, int] = 200  # tracked U_m sets per m in [2, k-1]
-    record_full_extremes: bool = False       # exact min/max R scan, n <= 60 only
-    p_start: float = 1.0                     # < 1: approximation mode, see below
     materialize_at: int = 100_000
     memory_budget_bytes: int = 8 << 30
-
-    # p_start < 1 first applies independent random edge deletions to emulate a
-    # mid-process state.  The process itself is only defined from the complete
-    # graph; this mode is an explicitly flagged approximation for scales where
-    # the initial clique count is out of reach, and is OFF by default.
 
     def validate(self) -> None:
         if self.k < 3:
@@ -85,20 +82,13 @@ class RunConfig:
             raise ValueError(f"unknown stop rule {self.stop!r}")
         if self.stop == "p_floor" and not 0 < self.p_floor <= 1:
             raise ValueError(f"p_floor must be in (0, 1], got {self.p_floor}")
-        if self.checkpoint_stride is not None and self.checkpoint_stride < 1:
-            raise ValueError("checkpoint_stride must be >= 1")
-        if not 0 < self.p_start <= 1:
-            raise ValueError(f"p_start must be in (0, 1], got {self.p_start}")
-        if self.record_full_extremes and self.n > FULL_EXTREMES_MAX_N:
-            raise ValueError(
-                f"record_full_extremes scans all C(n, m) sets; refusing n={self.n} > {FULL_EXTREMES_MAX_N}"
-            )
+        if self.checkpoint_stride is not None and not _is_count(self.checkpoint_stride, 1):
+            raise ValueError(f"checkpoint_stride must be an integer >= 1, got {self.checkpoint_stride!r}")
         if self.materialize_at < 0:
             raise ValueError("materialize_at must be nonnegative")
         self.resolved_panel_sizes()
         check_count_guard(self.n, self.k)
-        est_q0 = comb(self.n, self.k) * self.p_start ** comb(self.k, 2)
-        peak = int(min(est_q0, self.materialize_at))
+        peak = min(comb(self.n, self.k), self.materialize_at)
         # every run keeps adjacency_matrix(g) for the whole run
         adj_bytes = 4 * self.n * self.n
         index_bytes = build_peak_bytes(self.n, self.k, peak) if peak else 0
@@ -116,14 +106,14 @@ class RunConfig:
     def resolved_panel_sizes(self) -> dict[int, int]:
         ms = range(2, self.k)
         if isinstance(self.panel_sizes, dict):
-            sizes = {int(m): int(c) for m, c in self.panel_sizes.items()}
+            sizes = {int(m): c for m, c in self.panel_sizes.items()}
             if set(sizes) != set(ms):
                 raise ValueError(f"panel_sizes keys must be 2..{self.k - 1}")
         else:
-            sizes = {m: int(self.panel_sizes) for m in ms}
+            sizes = dict.fromkeys(ms, self.panel_sizes)
         for m, count in sizes.items():
-            if count < 0:
-                raise ValueError(f"panel_sizes for m={m} must be >= 0, got {count}")
+            if not _is_count(count, 0):
+                raise ValueError(f"panel_sizes for m={m} must be an integer >= 0, got {count!r}")
         return sizes
 
 
@@ -134,7 +124,6 @@ class Checkpoint:
     edge_count: int
     q_k: int
     panel_r: dict[int, tuple[int, ...]]           # per m, values for the fixed panel
-    exact_r_extremes: dict[int, tuple[int, int]] | None = None
 
     def r_stats(self, m: int) -> tuple[float, int, int]:
         vals = self.panel_r[m]
@@ -165,16 +154,13 @@ class ProcessTrace:
     def validate(self) -> None:
         cps = self.checkpoints
         assert cps, "trace has no checkpoints"
-        ck2 = comb(self.config.k, 2)
-        e0 = comb(self.config.n, 2) if self.config.p_start == 1.0 else None
+        e0, ck2 = comb(self.config.n, 2), comb(self.config.k, 2)
+        assert all(cp.edge_count == e0 - ck2 * cp.i for cp in cps), "edge-count identity violated"
         for prev, cur in zip(cps, cps[1:]):
             assert prev.i < cur.i, "checkpoint steps not strictly increasing"
             assert cur.q_k <= prev.q_k, "Q_k increased"
         for m in cps[0].panel_r:
             assert (_panel_drops(cps, m) >= 0).all(), f"panel R increased for m={m}"
-        for cp in cps:
-            if e0 is not None:
-                assert cp.edge_count == e0 - ck2 * cp.i, "edge-count identity violated"
 
     def summary(self) -> dict:
         cfg = self.config
@@ -184,7 +170,6 @@ class ProcessTrace:
             "seed": cfg.seed,
             "stop": cfg.stop,
             "p_floor": cfg.p_floor if cfg.stop == "p_floor" else None,
-            "p_start": cfg.p_start,
             "M": self.hitting_time,
             "steps": self.steps,
             "final_edges": self.final_edge_count,
@@ -381,23 +366,12 @@ def run(cfg: RunConfig) -> ProcessTrace:
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(cfg.seed)))
 
     g = Graph.new_complete(n)
-    if cfg.p_start < 1.0:
-        us = rng.random(comb(n, 2))
-        e = 0
-        for a in range(n):
-            for b in range(a + 1, n):
-                if us[e] >= cfg.p_start:
-                    g.remove_edge(a, b)
-                e += 1
-
     panel = _select_panel(rng, n, cfg.resolved_panel_sizes())
     panel_arrays = {m: np.array(sets, dtype=np.int64).reshape(-1, m) for m, sets in panel.items()}
     stride = cfg.resolved_stride()
     ck2 = comb(k, 2)
     e_start = g.edge_count
-    nominal = cfg.p_start == 1.0
-
-    q = comb(n, k) if nominal else count_k_cliques(g, k)
+    q = comb(n, k)
 
     adj = adjacency_matrix(g)
     idx: CliqueIndex | None = None
@@ -411,25 +385,11 @@ def run(cfg: RunConfig) -> ProcessTrace:
     else:
         sampler = _RejectionSampler(g, k, rng, adj)
 
-    def current_p(i: int) -> float:
-        if nominal:
-            return 1.0 - k * (k - 1) * i / (n * n)
-        # effective density from the exact edge count, matching the nominal
-        # formula exactly when p_start == 1
-        return (2 * g.edge_count + n) / (n * n)
-
     checkpoints: list[Checkpoint] = []
 
     def record(i: int) -> None:
         panel_r = {m: tuple(panel_r_values(g, arr, k, adj)) for m, arr in panel_arrays.items()}
-        extremes = None
-        if cfg.record_full_extremes:
-            extremes = {}
-            for m in range(2, k):
-                vals = panel_r_values(g, np.array(list(combinations(range(n), m))), k, adj)
-                extremes[m] = (min(vals), max(vals))
-        checkpoints.append(Checkpoint(i=i, p=current_p(i), edge_count=g.edge_count,
-                                      q_k=q, panel_r=panel_r, exact_r_extremes=extremes))
+        checkpoints.append(Checkpoint(i, p_of(i, n, k), g.edge_count, q, panel_r))
 
     record(0)
     steps = 0
@@ -441,7 +401,7 @@ def run(cfg: RunConfig) -> ProcessTrace:
         if q == 0:
             hit = steps
             break
-        if cfg.stop == "p_floor" and current_p(steps) <= cfg.p_floor:
+        if cfg.stop == "p_floor" and p_of(steps, n, k) <= cfg.p_floor:
             break
         if idx is None and q <= cfg.materialize_at:
             idx = CliqueIndex.from_cliques(g, k, enumerate_k_cliques(g, k))

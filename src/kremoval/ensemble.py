@@ -191,13 +191,13 @@ def _fitted_claim_constants(traces: list[ProcessTrace], params: TrajectoryParams
     c_q = 0.0
     c_r: dict[int, float] = {}
     for trace in traces:
-        if trace.max_step_drop_q_at is not None and trace.config.p_start == 1.0:
+        if trace.max_step_drop_q_at is not None:
             p_at = max(1.0 - k * (k - 1) * trace.max_step_drop_q_at / (n * n), 1e-9)
             shape = sigma(p_at, k) * n ** (k - 2.5) * ln_n ** params.gamma[2]
             c_q = max(c_q, trace.max_step_drop_q / shape)
         for m, drop in trace.max_step_drop_r.items():
             at = trace.max_step_drop_r_at.get(m)
-            if at is None or trace.config.p_start != 1.0:
+            if at is None:
                 continue
             p_at = max(1.0 - k * (k - 1) * at / (n * n), 1e-9)
             shape = n ** (k - m - 1) * p_at ** (comb(k, 2) - comb(m + 1, 2))
@@ -268,7 +268,7 @@ def run_ensemble(grid: list[RunConfig], trials: int, master_seed: int,
                 summaries.append(res)
         entry: dict = {
             "n": cfg.n, "k": cfg.k, "stop": cfg.stop,
-            "p_floor": cfg.p_floor, "p_start": cfg.p_start,
+            "p_floor": cfg.p_floor,
             "stride": cfg.resolved_stride(),
             "trial_summaries": summaries,
             "errors": errors,
@@ -288,7 +288,7 @@ def run_ensemble(grid: list[RunConfig], trials: int, master_seed: int,
             if agg["mean_final_edges"] is not None:
                 agg["final_edges_over_n2"] = agg["mean_final_edges"] / (cfg.n * cfg.n)
             entry["aggregate"] = agg
-        if completed and cfg.p_start == 1.0:
+        if completed:
             final_edges_by_n.setdefault(cfg.n, []).extend(
                 float(s["final_edges"]) for s in completed)
 

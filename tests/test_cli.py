@@ -105,3 +105,13 @@ def test_gamma_flags_reach_params(tmp_path):
 def test_unknown_stop_rejected():
     with pytest.raises(SystemExit):
         main(["run", "--n", "6", "--k", "4", "--stop", "sideways"])
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_unknown_config_keys_rejected(tmp_path, capsys, command):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n": 6, "k": 4, "materialise_at": 0, "p_start": 0.8}))
+    assert main([command, "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unknown config keys: materialise_at, p_start" in captured.err

@@ -84,16 +84,23 @@ class TestStopRules:
         with pytest.raises(ValueError):
             RunConfig(n=6, k=4, seed=0, stop="bogus").validate()
         with pytest.raises(ValueError):
-            RunConfig(n=100, k=4, seed=0, record_full_extremes=True).validate()
-        with pytest.raises(ValueError):
             RunConfig(n=20000, k=8, seed=0).validate()
         with pytest.raises(ValueError, match="panel_sizes"):
             RunConfig(n=12, k=4, seed=0, panel_sizes={5: 3}).validate()
         with pytest.raises(ValueError, match="memory budget"):
             RunConfig(n=30, k=4, seed=0, memory_budget_bytes=27405 * 16).validate()
-        for sizes in ({2: -3, 3: 5}, -1):
+        for sizes in ({2: -3, 3: 5}, -1, 2.7, True, "5", {2: 2.0, 3: 5}):
             with pytest.raises(ValueError, match="panel_sizes for m=2"):
                 RunConfig(n=12, k=4, seed=0, panel_sizes=sizes).validate()
+        for sizes in ({"2": 3, "3": 2.5}, {2: 3, 3: False}):
+            with pytest.raises(ValueError, match="panel_sizes for m=3"):
+                RunConfig(n=12, k=4, seed=0, panel_sizes=sizes).validate()
+        for stride in (0, 2.5, 3.0, True, "4"):
+            with pytest.raises(ValueError, match="checkpoint_stride"):
+                RunConfig(n=12, k=4, seed=0, checkpoint_stride=stride).validate()
+        # JSON configs give string keys; numpy integers are integers
+        RunConfig(n=12, k=4, seed=0, panel_sizes={"2": 3, "3": np.int64(2)},
+                  checkpoint_stride=np.int64(2)).validate()
 
     def test_memory_guard_charges_adjacency_matrix(self):
         # materialize_at=0 never builds the index, so the float32 adjacency
@@ -206,14 +213,14 @@ class TestTraceInvariants:
                 assert any(last.panel_r[m])
 
     def test_full_extremes(self):
-        tr = run(RunConfig(n=10, k=4, seed=6, record_full_extremes=True,
+        # a panel of at least C(n, m) sets tracks every m-set, so its min and
+        # max are the exact extremes of R over all m-sets
+        tr = run(RunConfig(n=10, k=4, seed=6, panel_sizes=comb(10, 3),
                            checkpoint_stride=2))
-        g = Graph.new_complete(10)
+        for m in (2, 3):
+            assert tr.panel[m] == tuple(combinations(range(10), m))
         cp0 = tr.checkpoints[0]
-        assert cp0.exact_r_extremes == {2: (comb(8, 2), comb(8, 2)), 3: (7, 7)}
-        for cp in tr.checkpoints:
-            for m, (lo, hi) in cp.exact_r_extremes.items():
-                assert lo <= min(cp.panel_r[m]) and max(cp.panel_r[m]) <= hi
+        assert {m: cp0.r_stats(m)[1:] for m in (2, 3)} == {2: (comb(8, 2), comb(8, 2)), 3: (7, 7)}
 
 
 class TestSamplingStrategy:
@@ -333,22 +340,6 @@ class TestSamplingStrategy:
                     assert np.array_equal(adj, adjacency_matrix(g))
                     removed += 1
                 assert removed >= 1
-
-
-class TestApproximationMode:
-    def test_p_start_runs_and_flags(self):
-        cfg = RunConfig(n=14, k=3, seed=19, p_start=0.8)
-        tr = run(cfg)
-        assert tr.config.p_start == 0.8
-        # effective density recorded from the exact edge count
-        cp0 = tr.checkpoints[0]
-        assert cp0.p == (2 * cp0.edge_count + 14) / 14**2
-        assert tr.hitting_time is not None
-
-    def test_p_start_initial_count_exact(self):
-        cfg = RunConfig(n=12, k=3, seed=23, p_start=0.7, checkpoint_stride=1)
-        tr = run(cfg)
-        assert tr.checkpoints[0].q_k <= comb(12, 3)
 
 
 class TestPanelAndExports:
