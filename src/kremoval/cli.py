@@ -56,9 +56,30 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--p-floor", type=float, default=None)
     p.add_argument("--stop", choices=["hitting-time", "p-floor"], default=None)
     p.add_argument("--materialize-at", type=int, default=None,
-                   help="clique count at which the dense index is built")
+                   help="Q_k at which the clique index is built, 0 for never (default min(C(n,k) // 1000, "
+                        "100000): sample while a draw needs fewer than 1000 candidates in expectation)")
     p.add_argument("--config", type=str, default=None,
                    help="JSON file with run options; flags override")
+
+
+def _invalid(command: str, grid: list[RunConfig]) -> bool:
+    """True, after one stderr line, if a config fails ``RunConfig.validate``."""
+    try:
+        for cfg in grid:
+            cfg.validate()
+    except ValueError as exc:
+        print(f"{command}: {exc}", file=sys.stderr)
+        return True
+    return False
+
+
+def _emit(text: str, path: str | None, end: str = "\n") -> None:
+    """Write ``text + end`` to ``path``, or to stdout when there is no path."""
+    if path:
+        with open(path, "w") as fh:
+            fh.write(text + end)
+    else:
+        print(text, end=end)
 
 
 def _merge_config(args, single_n: bool) -> dict | None:
@@ -94,16 +115,12 @@ def _cmd_run(args) -> int:
     if n_grid:
         opts["n"] = n_grid[0]
     cfg = RunConfig(**opts)
+    if _invalid("run", [cfg]):
+        return 2
     trace = run(cfg)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(trace.to_csv())
-    summary = trace.summary_json()
-    if args.summary:
-        with open(args.summary, "w") as fh:
-            fh.write(summary + "\n")
-    else:
-        print(summary)
+        _emit(trace.to_csv(), args.out, end="")
+    _emit(trace.summary_json(), args.summary)
     return 0
 
 
@@ -119,6 +136,8 @@ def _cmd_sweep(args) -> int:
             return 2
         n_grid = [int(n_val)]
     grid = [RunConfig(n=n, **opts) for n in n_grid]
+    if _invalid("sweep", grid):
+        return 2
     params = None
     k = grid[0].k
     if k >= 4 and args.envelopes:
@@ -126,24 +145,14 @@ def _cmd_sweep(args) -> int:
                                    p_floor=grid[0].p_floor)
     report = run_ensemble(grid, trials=args.trials, master_seed=args.master_seed,
                           params=params, jobs=args.jobs)
-    text = report_to_json(report)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    _emit(report_to_json(report), args.out)
     return 0
 
 
 def _cmd_verify(args) -> int:
     report = run_identity_suites(max_n=args.max_n, ks=tuple(int(x) for x in args.ks.split(",")),
                                  seed=args.seed, max_n_destroying=args.max_n_destroying)
-    text = json.dumps(report, sort_keys=True, indent=2)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    _emit(json.dumps(report, sort_keys=True, indent=2), args.out)
     for suite in report["suites"]:
         status = "ok" if suite["passed"] else "FAILED"
         print(f"{suite['name']}: {suite['instances']} instances, {status}", file=sys.stderr)
@@ -153,12 +162,7 @@ def _cmd_verify(args) -> int:
 def _cmd_curves(args) -> int:
     params = _params_from_args(args, n=int(args.n), k=args.k,
                                p_floor=args.p_floor if args.p_floor is not None else 0.3)
-    text = emit_curves(params, points=args.points)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _emit(emit_curves(params, points=args.points), args.out, end="")
     return 0
 
 
@@ -202,11 +206,7 @@ def _cmd_report(args) -> int:
         lines.append(f"  increasing in m: {ub.increasing_in_m}; dominant m = {ub.dominant_m}")
         lines.append(f"  total = {ub.total:.6g}  (ln = {ub.log_total:.6g})")
         text = "\n".join(lines)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    _emit(text, args.out)
     return 0
 
 

@@ -18,11 +18,11 @@ per-step drops):
   moment it materializes: the maintained count must equal a fresh enumeration
   or the run aborts.
 
-A run auto-selects ``sampling`` when the initial count exceeds
-``materialize_at`` and switches to ``indexed`` as soon as Q_k falls to that
-threshold, so runs to the hitting time stay fast at the end where rejection
-would stall.  For a fixed config the strategy schedule is deterministic, and
-identical seeds give bit-identical traces.
+A run samples while Q_k exceeds ``RunConfig.resolved_materialize_at()`` and
+then switches to ``indexed``: by default once a rejection draw would need
+``CANDIDATES_PER_DRAW`` candidates in expectation (C(n, k) / Q_k), with at most
+100,000 cliques indexed.  The strategy schedule is deterministic for a fixed
+config, and identical seeds give bit-identical traces.
 
 Every run keeps one float32 0/1 adjacency matrix (``adjacency_matrix``,
 4 n^2 bytes) beside the graph's bitset rows and zeroes the removed clique's
@@ -50,6 +50,8 @@ from .graph import (
 from .index import CliqueIndex, build_peak_bytes
 from .trajectory import p_of
 
+CANDIDATES_PER_DRAW = 1000  # by default a run samples while C(n, k) / Q_k is below this
+
 
 def default_stride(n: int, k: int) -> int:
     """Roughly 400 checkpoints per full run, uniform in p."""
@@ -70,7 +72,7 @@ class RunConfig:
     p_floor: float = 0.3
     checkpoint_stride: int | None = None    # None -> default_stride(n, k)
     panel_sizes: int | dict[int, int] = 200  # tracked U_m sets per m in [2, k-1]
-    materialize_at: int = 100_000
+    materialize_at: int | None = None       # None -> resolved_materialize_at()
     memory_budget_bytes: int = 8 << 30
 
     def validate(self) -> None:
@@ -84,11 +86,11 @@ class RunConfig:
             raise ValueError(f"p_floor must be in (0, 1], got {self.p_floor}")
         if self.checkpoint_stride is not None and not _is_count(self.checkpoint_stride, 1):
             raise ValueError(f"checkpoint_stride must be an integer >= 1, got {self.checkpoint_stride!r}")
-        if self.materialize_at < 0:
-            raise ValueError("materialize_at must be nonnegative")
+        if self.materialize_at is not None and not _is_count(self.materialize_at, 0):
+            raise ValueError(f"materialize_at must be None or an integer >= 0, got {self.materialize_at!r}")
         self.resolved_panel_sizes()
         check_count_guard(self.n, self.k)
-        peak = min(comb(self.n, self.k), self.materialize_at)
+        peak = min(comb(self.n, self.k), self.resolved_materialize_at())
         # every run keeps adjacency_matrix(g) for the whole run
         adj_bytes = 4 * self.n * self.n
         index_bytes = build_peak_bytes(self.n, self.k, peak) if peak else 0
@@ -103,12 +105,17 @@ class RunConfig:
     def resolved_stride(self) -> int:
         return self.checkpoint_stride if self.checkpoint_stride is not None else default_stride(self.n, self.k)
 
+    def resolved_materialize_at(self) -> int:
+        default = min(comb(self.n, self.k) // CANDIDATES_PER_DRAW, 100_000)
+        return self.materialize_at if self.materialize_at is not None else default
+
     def resolved_panel_sizes(self) -> dict[int, int]:
         ms = range(2, self.k)
         if isinstance(self.panel_sizes, dict):
-            sizes = {int(m): c for m, c in self.panel_sizes.items()}
-            if set(sizes) != set(ms):
-                raise ValueError(f"panel_sizes keys must be 2..{self.k - 1}")
+            # JSON config files give decimal-integer string keys such as "2"
+            sizes = {int(m) if isinstance(m, str) and m.isdecimal() else m: c for m, c in self.panel_sizes.items()}
+            if not all(_is_count(m, 2) for m in sizes) or set(sizes) != set(ms):
+                raise ValueError(f"panel_sizes keys must be the integers 2..{self.k - 1}")
         else:
             sizes = dict.fromkeys(ms, self.panel_sizes)
         for m, count in sizes.items():
@@ -372,12 +379,13 @@ def run(cfg: RunConfig) -> ProcessTrace:
     ck2 = comb(k, 2)
     e_start = g.edge_count
     q = comb(n, k)
+    materialize_at = cfg.resolved_materialize_at()
 
     adj = adjacency_matrix(g)
     idx: CliqueIndex | None = None
     sampler: _RejectionSampler | None = None
     switched_at: int | None = None
-    if q <= cfg.materialize_at:
+    if q <= materialize_at:
         idx = CliqueIndex.build(g, k)
         if len(idx) != q:
             raise AssertionError("initial clique count mismatch")
@@ -403,7 +411,7 @@ def run(cfg: RunConfig) -> ProcessTrace:
             break
         if cfg.stop == "p_floor" and p_of(steps, n, k) <= cfg.p_floor:
             break
-        if idx is None and q <= cfg.materialize_at:
+        if idx is None and q <= materialize_at:
             idx = CliqueIndex.from_cliques(g, k, enumerate_k_cliques(g, k))
             if len(idx) != q:
                 raise AssertionError(

@@ -115,3 +115,22 @@ def test_unknown_config_keys_rejected(tmp_path, capsys, command):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "unknown config keys: materialise_at, p_start" in captured.err
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize("flags, config, field", [
+    (["--stride", "0"], None, "checkpoint_stride"),
+    (["--materialize-at", "-1"], None, "materialize_at"),
+    ([], {"panel_sizes": "5"}, "panel_sizes"),
+])
+def test_invalid_config_rejected(tmp_path, capsys, command, flags, config, field):
+    args = [command, "--n", "8", "--k", "4"] + flags
+    if config is not None:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        args += ["--config", str(path)]
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"{command}: {field}")
+    assert captured.err.count("\n") == 1

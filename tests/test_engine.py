@@ -21,7 +21,7 @@ from kremoval.engine import (
 )
 from kremoval.graph import Graph, count_k_cliques, enumerate_k_cliques
 from kremoval.identities import delta_q_formula
-from kremoval.index import build_peak_bytes
+from kremoval.index import CliqueIndex, build_peak_bytes
 
 
 class TestDeterministicInstance:
@@ -42,7 +42,7 @@ class TestDeterministicInstance:
         gc.collect()
         gc.disable()
         try:
-            run(RunConfig(n=30, k=4, seed=3))
+            run(RunConfig(n=30, k=4, seed=3, materialize_at=100_000))
             assert gc.collect() == 0
         finally:
             gc.enable()
@@ -88,7 +88,20 @@ class TestStopRules:
         with pytest.raises(ValueError, match="panel_sizes"):
             RunConfig(n=12, k=4, seed=0, panel_sizes={5: 3}).validate()
         with pytest.raises(ValueError, match="memory budget"):
-            RunConfig(n=30, k=4, seed=0, memory_budget_bytes=27405 * 16).validate()
+            RunConfig(n=30, k=4, seed=0, materialize_at=100_000, memory_budget_bytes=27405 * 16).validate()
+        # the default rule charges its resolved threshold: 100,000 at n=800, k=4
+        cfg = RunConfig(n=800, k=4, seed=0)
+        assert cfg.resolved_materialize_at() == 100_000
+        need = 4 * 800 * 800 + build_peak_bytes(800, 4, 100_000)
+        dataclasses.replace(cfg, memory_budget_bytes=need).validate()
+        with pytest.raises(ValueError, match="memory budget"):
+            dataclasses.replace(cfg, memory_budget_bytes=need - 1).validate()
+        for at in (-1, 2.5, True, "5"):
+            with pytest.raises(ValueError, match="materialize_at"):
+                RunConfig(n=12, k=4, seed=0, materialize_at=at).validate()
+        for sizes in ({2.9: 3, 3.5: 2}, {2.0: 3, 3: 2}, {True: 3, 3: 2}, {"2.0": 3, "3": 2}, {" 2": 3, "3": 2}):
+            with pytest.raises(ValueError, match="panel_sizes keys"):
+                RunConfig(n=12, k=4, seed=0, panel_sizes=sizes).validate()
         for sizes in ({2: -3, 3: 5}, -1, 2.7, True, "5", {2: 2.0, 3: 5}):
             with pytest.raises(ValueError, match="panel_sizes for m=2"):
                 RunConfig(n=12, k=4, seed=0, panel_sizes=sizes).validate()
@@ -100,7 +113,9 @@ class TestStopRules:
                 RunConfig(n=12, k=4, seed=0, checkpoint_stride=stride).validate()
         # JSON configs give string keys; numpy integers are integers
         RunConfig(n=12, k=4, seed=0, panel_sizes={"2": 3, "3": np.int64(2)},
-                  checkpoint_stride=np.int64(2)).validate()
+                  checkpoint_stride=np.int64(2), materialize_at=np.int64(5)).validate()
+        cfg = RunConfig(n=12, k=4, seed=0, panel_sizes={np.int64(2): 3, 3: 1})
+        assert cfg.resolved_panel_sizes() == {2: 3, 3: 1}
 
     def test_memory_guard_charges_adjacency_matrix(self):
         # materialize_at=0 never builds the index, so the float32 adjacency
@@ -299,6 +314,32 @@ class TestSamplingStrategy:
         indexed = outcomes(100_000, range(1000, 1300))
         for a, b in zip(sampling, indexed):
             assert ks_2samp(a, b).pvalue >= 1e-3
+
+    @pytest.mark.parametrize("n, k", [(60, 3), (40, 4)])
+    def test_default_switch_by_acceptance_rate(self, n, k):
+        # the default threshold is min(C(n, k) // 1000, 100_000): 34 and 91
+        threshold = min(comb(n, k) // 1000, 100_000)
+        assert RunConfig(n=n, k=k, seed=0).resolved_materialize_at() == threshold
+        for seed in range(3):
+            tr = run(RunConfig(n=n, k=k, seed=seed, checkpoint_stride=1))
+            first = next(cp.i for cp in tr.checkpoints if cp.q_k <= threshold)
+            assert tr.switched_to_index_at == first > 0
+            assert tr.hitting_time == tr.steps
+
+    @pytest.mark.parametrize("n, k", [(6, 4), (10, 3)])
+    def test_default_rule_samples_only_below_1000_cliques(self, n, k, monkeypatch):
+        # C(6, 4) = 15 and C(10, 3) = 120 resolve to threshold 0: never indexed
+        assert RunConfig(n=n, k=k, seed=0).resolved_materialize_at() == 0
+
+        def no_index(*args):
+            raise AssertionError("index built")
+
+        monkeypatch.setattr(CliqueIndex, "build", no_index)
+        monkeypatch.setattr(CliqueIndex, "from_cliques", no_index)
+        for seed in range(5):
+            tr = run(RunConfig(n=n, k=k, seed=seed))
+            assert tr.switched_to_index_at is None
+            assert tr.hitting_time == tr.steps and tr.final_q == 0
 
     def test_hybrid_switch_self_check(self):
         cfg = RunConfig(n=14, k=3, seed=17, materialize_at=150)
