@@ -83,7 +83,7 @@ def _emit(text: str, path: str | None, end: str = "\n") -> None:
 
 
 def _merge_config(args, single_n: bool) -> dict | None:
-    """Config-file options overridden by flags; None if the file has unknown keys."""
+    """Config-file options overridden by flags; None, after one stderr line, if unusable."""
     base: dict = {}
     if args.config:
         with open(args.config) as fh:
@@ -104,6 +104,9 @@ def _merge_config(args, single_n: bool) -> dict | None:
             base["n"] = int(args.n)
         else:
             base["n_grid"] = [int(x) for x in args.n.split(",")]
+    if missing := [key for key in ("n", "k") if base.get(key) is None and not base.get(f"{key}_grid")]:
+        print(f"{args.command}: --{missing[0]} is required", file=sys.stderr)
+        return None
     return base
 
 
@@ -111,8 +114,7 @@ def _cmd_run(args) -> int:
     opts = _merge_config(args, single_n=True)
     if opts is None:
         return 2
-    n_grid = opts.pop("n_grid", None)
-    if n_grid:
+    if n_grid := opts.pop("n_grid", None):
         opts["n"] = n_grid[0]
     cfg = RunConfig(**opts)
     if _invalid("run", [cfg]):
@@ -128,13 +130,8 @@ def _cmd_sweep(args) -> int:
     opts = _merge_config(args, single_n=False)
     if opts is None:
         return 2
-    n_grid = opts.pop("n_grid", None)
-    if not n_grid:
-        n_val = opts.pop("n", None)
-        if n_val is None:
-            print("sweep: --n is required", file=sys.stderr)
-            return 2
-        n_grid = [int(n_val)]
+    n_val = opts.pop("n", None)
+    n_grid = opts.pop("n_grid", None) or [int(n_val)]
     grid = [RunConfig(n=n, **opts) for n in n_grid]
     if _invalid("sweep", grid):
         return 2

@@ -24,16 +24,18 @@ then switches to ``indexed``: by default once a rejection draw would need
 100,000 cliques indexed.  The strategy schedule is deterministic for a fixed
 config, and identical seeds give bit-identical traces.
 
-Every run keeps one float32 0/1 adjacency matrix (``adjacency_matrix``,
-4 n^2 bytes) beside the graph's bitset rows and zeroes the removed clique's
-pairs after every step; the sampler's screen, the one-step drop and the
-checkpoint panels all read it.
+A step validates its clique once, in ``Graph.remove_clique_edges``; its drop
+is k popcounts of prefix-and-suffix ANDs plus one panel-kernel call per
+smaller subset size (``one_step_drop``).  The float32 0/1 adjacency matrix
+(``adjacency_matrix``, 4 n^2 B), zeroed on the removed pairs after each step,
+serves the sampler, the drop and the m = k-2 panels; indexed k = 3 drops it.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import combinations
 from math import comb
 from typing import Iterable
@@ -76,10 +78,10 @@ class RunConfig:
     memory_budget_bytes: int = 8 << 30
 
     def validate(self) -> None:
-        if self.k < 3:
-            raise ValueError(f"k must be >= 3, got {self.k}")
-        if self.n < self.k:
-            raise ValueError(f"need n >= k, got n={self.n}, k={self.k}")
+        if not _is_count(self.k, 3):
+            raise ValueError(f"k must be an integer >= 3, got {self.k!r}")
+        if not _is_count(self.n, self.k):
+            raise ValueError(f"n must be an integer >= k = {self.k}, got {self.n!r}")
         if self.stop not in ("hitting_time", "p_floor"):
             raise ValueError(f"unknown stop rule {self.stop!r}")
         if self.stop == "p_floor" and not 0 < self.p_floor <= 1:
@@ -91,7 +93,7 @@ class RunConfig:
         self.resolved_panel_sizes()
         check_count_guard(self.n, self.k)
         peak = min(comb(self.n, self.k), self.resolved_materialize_at())
-        # every run keeps adjacency_matrix(g) for the whole run
+        # adjacency_matrix(g), charged for the whole run
         adj_bytes = 4 * self.n * self.n
         index_bytes = build_peak_bytes(self.n, self.k, peak) if peak else 0
         if index_bytes + adj_bytes > self.memory_budget_bytes:
@@ -223,11 +225,9 @@ def adjacency_matrix(g: Graph) -> np.ndarray:
     return np.unpackbits(packed.reshape(n, width), axis=1, count=n, bitorder="little").astype(np.float32)
 
 
-def _extension_counts(g: Graph, sets: np.ndarray | Iterable[VertexSet], m: int, k: int,
+def _extension_counts(g: Graph, sets: np.ndarray, m: int, k: int,
                       adj: np.ndarray | None) -> list[int]:
-    """R for strictly increasing sets of one size m in [2, k-1]; unvalidated.
-
-    ``sets`` is an int ``(P, m)`` array or an iterable of vertex tuples.
+    """R for the strictly increasing sets of an int ``(P, m)`` array, m in [2, k-1]; unvalidated.
 
     * m = k-1: R is the size of the common neighbourhood, the popcount of the
       AND of the sets' rows (rows are irreflexive, so it excludes the set).
@@ -241,7 +241,7 @@ def _extension_counts(g: Graph, sets: np.ndarray | Iterable[VertexSet], m: int, 
     if m == k - 2:
         if adj is None:
             adj = adjacency_matrix(g)
-        cols = (sets if isinstance(sets, np.ndarray) else np.array(list(sets))).T
+        cols = sets.T
         common = adj[cols[0]]
         for col in cols[1:]:
             common *= adj[col]
@@ -250,7 +250,7 @@ def _extension_counts(g: Graph, sets: np.ndarray | Iterable[VertexSet], m: int, 
         twice = ((common @ adj) * common).sum(axis=1, dtype=np.float64)
         return (twice.astype(np.int64) // 2).tolist()
     out = []
-    for s in sets.tolist() if isinstance(sets, np.ndarray) else sets:
+    for s in sets.tolist():
         nb = rows[s[0]]
         for v in s[1:]:
             nb &= rows[v]
@@ -303,17 +303,23 @@ def _select_panel(rng, n: int, sizes: dict[int, int]) -> dict[int, tuple[VertexS
     return panel
 
 
+@cache
+def _subset_table(k: int, m: int) -> np.ndarray:
+    """Positions of the m-subsets of a k-tuple, lexicographic, as an ``(C(k, m), m)`` array."""
+    return np.array(list(combinations(range(k), m)), dtype=np.intp).reshape(-1, m)
+
+
 class _RejectionSampler:
     """Uniform K_k sampling by rejection over uniform k-subsets.
 
     Candidate k-tuples are drawn in deterministic batches sized from the
     current acceptance rate Q_k / C(n, k).  ``_refill`` screens a whole batch
-    with C(k, 2) gathers from ``adj``, the run's current adjacency matrix;
-    its diagonal is zero, so a tuple with a repeated vertex fails too.  The
-    passing tuples are kept, sorted, in draw order.  Edges are only ever
-    removed, so a tuple that failed the screen would fail later too, and
-    ``sample`` re-checks only the kept ones against ``g.rows``: the first
-    that is still complete is exactly the sequential-rejection result, so
+    with one gather of its C(k, 2) pairs from ``adj``, the run's current
+    adjacency matrix; its diagonal is zero, so a tuple with a repeated vertex
+    fails too.  The passing tuples are kept in draw order.  Edges are only
+    ever removed, so a tuple that failed the screen would fail later too, and
+    ``sample`` re-checks only the kept ones against ``g.rows``: the first that
+    is still complete, sorted, is exactly the sequential-rejection result, so
     every current clique is returned with probability 1/Q_k.
     """
 
@@ -323,6 +329,7 @@ class _RejectionSampler:
         self.rng = rng
         self.adj = adj
         self.total = comb(g.n, k)
+        self._pairs = _subset_table(k, 2).tolist()
         self._pool: list[list[int]] = []
         self._pos = 0
 
@@ -330,22 +337,23 @@ class _RejectionSampler:
         n = self.g.n
         count = min(max(256, 3 * self.total // max(q, 1)), 1 << 16)
         draws = self.rng.integers(0, n, size=(count, self.k))
-        flat = self.adj.ravel()
-        ok = np.ones(count, dtype=bool)
-        for i, j in combinations(range(self.k), 2):
-            ok &= flat.take(draws[:, i] * n + draws[:, j]) != 0
-        self._pool = np.sort(draws[ok], axis=1).tolist()
+        ends, by_pos = _subset_table(self.k, 2).T, draws.T
+        ok = (self.adj.take(by_pos[ends[0]] * n + by_pos[ends[1]]) != 0).all(axis=0)
+        self._pool = draws[ok].tolist()
         self._pos = 0
 
     def sample(self, q: int) -> VertexSet:
-        rows = self.g.rows
+        rows, pairs = self.g.rows, self._pairs
         while True:
             pool = self._pool
             while self._pos < len(pool):
                 cand = pool[self._pos]
                 self._pos += 1
-                if all(rows[a] >> b & 1 for a, b in combinations(cand, 2)):
-                    return tuple(cand)
+                for i, j in pairs:
+                    if not rows[cand[i]] >> cand[j] & 1:
+                        break
+                else:
+                    return tuple(sorted(cand))
             self._refill(q)
 
 
@@ -354,15 +362,24 @@ def one_step_drop(g: Graph, u: VertexSet, k: int, adj: np.ndarray | None = None)
 
     Alternating sum over the proper subsets of ``u``: coefficient
     (-1)^m (m-1) on the size-m extension counts, plus the constant
-    (-1)^k (k-1).  Exact for any graph state in which ``u`` is complete.
-    The counts come from the panel kernel (``_extension_counts``) without
-    validation; ``adj``, if given, must be the current
-    ``adjacency_matrix(g)``, and None builds it for k >= 4.  The identity
-    suites pin this route against ``identities.delta_q_formula``.
+    (-1)^k (k-1); exact, unvalidated, whenever ``u`` is complete.  The
+    size-(k-1) counts are popcounts of prefix-and-suffix ANDs of u's rows,
+    each smaller size one ``_extension_counts`` call.  ``adj``, if given,
+    must be the current ``adjacency_matrix(g)``; None builds it for k >= 4.
+    The identity suites pin this route against ``identities.delta_q_formula``.
     """
-    total = (-1) ** k * (k - 1)
-    for m in range(2, k):
-        total += (-1) ** m * (m - 1) * sum(_extension_counts(g, combinations(u, m), m, k, adj))
+    rows = g.rows
+    prefixes, prefix = [], -1     # prefixes[i]: the AND of the rows of u[:i]
+    for v in u:
+        prefixes.append(prefix)
+        prefix &= rows[v]
+    suffix, codegrees = -1, 0     # suffix: the AND of the rows after the popped vertex
+    for v in reversed(u):
+        codegrees += (prefixes.pop() & suffix).bit_count()
+        suffix &= rows[v]
+    total = (-1) ** k * (k - 1) + (-1) ** (k - 1) * (k - 2) * codegrees
+    for m in range(2, k - 1):
+        total += (-1) ** m * (m - 1) * sum(_extension_counts(g, np.array(u)[_subset_table(k, m)], m, k, adj))
     return total
 
 
@@ -381,7 +398,7 @@ def run(cfg: RunConfig) -> ProcessTrace:
     q = comb(n, k)
     materialize_at = cfg.resolved_materialize_at()
 
-    adj = adjacency_matrix(g)
+    adj = adjacency_matrix(g) if k > 3 or q > materialize_at else None
     idx: CliqueIndex | None = None
     sampler: _RejectionSampler | None = None
     switched_at: int | None = None
@@ -417,20 +434,19 @@ def run(cfg: RunConfig) -> ProcessTrace:
                 raise AssertionError(
                     f"maintained count {q} disagrees with enumeration {len(idx)} at step {steps}"
                 )
-            sampler = None
-            switched_at = steps
+            sampler, switched_at = None, steps
+            adj = adj if k > 3 else None
 
         if idx is not None:
             u = idx.sample_uniform(rng)
-            delta = idx.apply_removal(g, u)
-            drop = delta.total
+            drop = idx.apply_removal(g, u).total
         else:
-            assert sampler is not None
             u = sampler.sample(q)
             drop = one_step_drop(g, u, k, adj)
             g.remove_clique_edges(u)
-        for a, b in combinations(u, 2):
-            adj[a, b] = adj[b, a] = 0
+        if adj is not None:
+            for a, b in combinations(u, 2):
+                adj[a, b] = adj[b, a] = 0
         steps += 1
         q -= drop
         if drop < 1 or q < 0:

@@ -101,39 +101,35 @@ class Graph:
             self.rows[v] &= ~(1 << u)
             self.edge_count -= 1
 
-    def _spans_clique(self, vs: VertexSet, m: int) -> bool:
-        """True iff the in-range vertices ``vs``, with mask ``m``, are complete."""
-        rows = self.rows
-        for v in vs:
-            others = m ^ (1 << v)
-            if rows[v] & others != others:
-                return False
-        return True
-
     def is_complete(self, s: Iterable[int]) -> bool:
         """True iff every pair inside ``s`` is adjacent (vacuous for |s|=1)."""
         vs = as_vertex_set(s)
         if not vs:
             raise ValueError("empty vertex set")
         self._check_vertex(vs[-1])
-        return self._spans_clique(vs, mask_of(vs))
+        m = mask_of(vs)
+        return all((self.rows[v] | 1 << v) & m == m for v in vs)
 
     def remove_clique_edges(self, u: Iterable[int]) -> None:
         """Delete every edge inside ``u``; ``u`` must currently be complete.
 
-        An incomplete ``u`` signals a stale index or a caller bug, so it is
-        rejected rather than partially applied.
+        ``u`` may come in any order.  An incomplete ``u``, a repeated vertex or
+        one outside [0, n) signals a caller bug and is rejected, never applied.
         """
-        vs = as_vertex_set(u)
-        if len(vs) < 2:
-            raise ValueError("clique must have at least 2 vertices")
-        self._check_vertex(vs[-1])
-        m = mask_of(vs)
-        if not self._spans_clique(vs, m):
-            raise ValueError(f"vertex set {vs} is not a clique in the current graph")
-        keep = ~m
+        vs = tuple(map(int, u))
+        n, rows = self.n, self.rows
+        if len(vs) < 2 or min(vs) < 0 or max(vs) >= n:
+            raise ValueError(f"{vs} is not a set of at least 2 vertices in [0, {n})")
+        m = 0
         for v in vs:
-            self.rows[v] &= keep
+            m |= 1 << v
+        if m.bit_count() != len(vs):
+            raise ValueError(f"{vs} repeats a vertex")
+        for v in vs:
+            if (rows[v] | 1 << v) & m != m:
+                raise ValueError(f"vertex set {vs} is not a clique in the current graph")
+        for v in vs:
+            rows[v] &= ~m
         self.edge_count -= len(vs) * (len(vs) - 1) // 2
 
     def common_neighborhood_mask(self, u: Iterable[int]) -> int:

@@ -122,9 +122,11 @@ def test_unknown_config_keys_rejected(tmp_path, capsys, command):
     (["--stride", "0"], None, "checkpoint_stride"),
     (["--materialize-at", "-1"], None, "materialize_at"),
     ([], {"panel_sizes": "5"}, "panel_sizes"),
+    ([], {"k": "4"}, "k"),
+    ([], {"k": 4.0}, "k"),
 ])
 def test_invalid_config_rejected(tmp_path, capsys, command, flags, config, field):
-    args = [command, "--n", "8", "--k", "4"] + flags
+    args = [command, "--n", "8"] + ([] if config and "k" in config else ["--k", "4"]) + flags
     if config is not None:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(config))
@@ -134,3 +136,26 @@ def test_invalid_config_rejected(tmp_path, capsys, command, flags, config, field
     assert captured.out == ""
     assert captured.err.startswith(f"{command}: {field}")
     assert captured.err.count("\n") == 1
+
+
+def test_run_config_with_string_n_rejected(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"n": "8", "k": 4}))
+    assert main(["run", "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("run: n must be an integer")
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command, flags, missing", [
+    ("run", ["--k", "4"], "n"),
+    ("sweep", ["--k", "4"], "n"),
+    ("run", ["--n", "8"], "k"),
+    ("sweep", ["--n", "8"], "k"),
+])
+def test_missing_n_or_k_rejected(capsys, command, flags, missing):
+    assert main([command] + flags) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"{command}: --{missing} is required\n"

@@ -51,6 +51,11 @@ def sha256(text: str) -> str:
     (RunConfig(n=16, k=5, seed=6, checkpoint_stride=1),
      "c1039a03893fa29d64b0dea2e8ffb26ddada41c6cbface6d612070376bc93c24",
      "b46fb3ca7ff17cde9ae035f7e70f3be3c721e80879328f8fdda660a25941e0d9"),
+    # k=3 under the default rule: samples, switches at step 5920 when
+    # Q_k <= C(200, 3) // 1000 = 1313, then indexes to M = 6311
+    (RunConfig(n=200, k=3, seed=9),
+     "4b4cc196aa5b72e6b34da50a97559599b338b0a30cdab85ee414cf1735e2900c",
+     "961d88b66039902b2ed0bc58e084e0a84fa417d4b04cf57518a7a05304d17752"),
 ])
 def test_run_digests(cfg, csv_digest, summary_digest):
     trace = run(cfg)

@@ -238,6 +238,23 @@ class TestTraceInvariants:
         assert {m: cp0.r_stats(m)[1:] for m in (2, 3)} == {2: (comb(8, 2), comb(8, 2)), 3: (7, 7)}
 
 
+class TestInLoopChecks:
+    def test_stale_sample_is_rejected(self, monkeypatch):
+        # a sampler that keeps handing back its first, already removed, clique
+        sample = _RejectionSampler.sample
+        first = {}
+        monkeypatch.setattr(_RejectionSampler, "sample",
+                            lambda self, q: first.setdefault("u", sample(self, q)))
+        with pytest.raises(ValueError, match="not a clique"):
+            run(RunConfig(n=12, k=4, seed=1, materialize_at=0))
+
+    @pytest.mark.parametrize("materialize_at", [0, 100_000])
+    def test_edge_count_identity_catches_a_skipped_removal(self, monkeypatch, materialize_at):
+        monkeypatch.setattr(Graph, "remove_clique_edges", lambda self, u: None)
+        with pytest.raises(AssertionError, match="edge-count identity violated at step 1"):
+            run(RunConfig(n=12, k=3, seed=1, materialize_at=materialize_at))
+
+
 class TestSamplingStrategy:
     """The dense-phase strategy must be observably exact; enumeration is the oracle."""
 

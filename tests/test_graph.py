@@ -1,5 +1,8 @@
 """Graph core: construction, mutation, neighborhoods, exact clique counting."""
 
+from math import comb
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -71,6 +74,40 @@ class TestRemoveCliqueEdges:
         after = {(u, v) for u in range(6) for v in range(u + 1, 6) if g.has_edge(u, v)}
         gone = before - after
         assert gone == {(u, v) for u in range(4) for v in range(u + 1, 4)}
+
+    @pytest.mark.parametrize("u", [
+        (0, 1, 1),        # duplicate vertex
+        (1, 0, 0, 2),     # duplicate vertex, unsorted
+        (-1, 0, 1),       # negative vertex
+        (0, 1, 6),        # vertex >= n
+        (2,),             # fewer than 2 vertices
+        (),
+        (0, 1, 2, 4),     # incomplete: 2-4 is missing
+        (4, 0, 2),        # incomplete, unsorted
+    ])
+    def test_rejected_input_leaves_graph_unchanged(self, u):
+        g = Graph.new_complete(6)
+        g.remove_edge(2, 4)
+        rows, edges = list(g.rows), g.edge_count
+        with pytest.raises(ValueError):
+            g.remove_clique_edges(u)
+        assert g.rows == rows and g.edge_count == edges
+
+    def test_unsorted_input_removes_the_same_edges(self):
+        for u in ([3, 0, 2], (2, 3, 0), iter([0, 3, 2]), np.array([3, 2, 0])):
+            g, want = Graph.new_complete(6), Graph.new_complete(6)
+            g.remove_clique_edges(u)
+            want.remove_clique_edges((0, 2, 3))
+            assert g.rows == want.rows and g.edge_count == want.edge_count == 12
+            g.check()
+
+    def test_large_numpy_vertex_ids(self):
+        # shifts by numpy integers would overflow at 64 bits
+        g = Graph.new_complete(300)
+        g.remove_clique_edges(np.array([299, 70, 200]))
+        assert not g.has_edge(70, 299) and not g.has_edge(200, 299) and not g.has_edge(70, 200)
+        assert g.edge_count == comb(300, 2) - 3
+        g.check()
 
 
 class TestCommonNeighborhood:

@@ -140,6 +140,34 @@ class TestApplyRemoval:
                 idx.apply_removal(g, u)
         idx.check_against(g)
 
+    @pytest.mark.parametrize("u", [
+        (0, 1, 1, 2),     # duplicate vertex
+        (-1, 0, 1, 2),    # negative vertex
+        (0, 1, 2, 8),     # vertex >= n
+        (0, 1),           # wrong size
+        (0, 1, 2, 4),     # not a clique any more: 2-4 is gone
+    ])
+    def test_rejected_input_leaves_index_and_graph_unchanged(self, u):
+        g = Graph.new_complete(8)
+        idx = CliqueIndex.build(g, 4)
+        idx.apply_removal(g, (2, 4, 6, 7))
+        rows, edges, count = list(g.rows), g.edge_count, len(idx)
+        with pytest.raises(ValueError):
+            idx.apply_removal(g, u)
+        assert g.rows == rows and g.edge_count == edges and len(idx) == count
+        idx.check_against(g)
+
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_unsorted_input_gives_the_same_delta(self, k):
+        u = tuple(range(1, k + 1))
+        for order in (u[::-1], list(u[1:] + u[:1])):
+            g, g_sorted = Graph.new_complete(8), Graph.new_complete(8)
+            idx, idx_sorted = CliqueIndex.build(g, k), CliqueIndex.build(g_sorted, k)
+            delta, want = idx.apply_removal(g, order), idx_sorted.apply_removal(g_sorted, u)
+            assert delta.by_size == want.by_size and delta.total == want.total
+            assert g.rows == g_sorted.rows and idx.cliques == idx_sorted.cliques
+            idx.check_against(g)
+
     def test_survivors_share_at_most_one_vertex(self):
         g = Graph.new_complete(8)
         idx = CliqueIndex.build(g, 3)
